@@ -25,8 +25,8 @@ Engines compared, per instance:
 
 ``--batch`` additionally times :func:`repro.revision.revise_many` against
 the per-pair ``revise`` loop on a workload of shared theories and revising
-formulas.  ``--spot-check-size`` verifies the sharded tier against the SAT
-blocking-clause fallback on a sparse instance above the big-int cutoff.
+formulas.  ``--spot-check-size`` verifies the sharded tier against the
+SAT-tier fallback on a sparse instance above the big-int cutoff.
 
 ``--sparse-sizes`` runs the bounded-density sparse-tier workload
 (:mod:`repro.hardness.sparse_family`: letters × model-density
@@ -36,10 +36,9 @@ operator it times the end-to-end pipeline and the selection alone on the
 sparse tier, verifies the model set bit-for-bit against the SAT mask
 loops (and, at sizes the sharded tier still serves, against the sharded
 engine head-to-head), and records which tier answered.  Past the shard
-cutoff it also A/Bs the **enumeration phase**: the incremental AllSAT
-enumerator of :mod:`repro.sat.allsat` against the PR 4 blocking-clause
-loop (``REPRO_ALLSAT=0``) on the same formulas, plus a per-operator
-end-to-end cross-check — masks must be bit-identical on every path.
+cutoff it also records the **enumeration phase**: the incremental AllSAT
+enumerator of :mod:`repro.sat.allsat` must have served the compile, and
+its cube/resume counts are kept per size.
 
 ``--store-sizes`` runs the artifact-store leg on the same bounded-density
 family: one cold ``BatchCache.warm`` against an empty ``repro.store``
@@ -419,55 +418,23 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
         if sorted(p_bits.iter_masks()) != list(workload.p_masks):
             raise AssertionError(f"P enumeration mismatch at {size} letters")
         within_shard = size <= shards.SHARD_MAX_LETTERS
-        # Enumeration A/B: past the shard cutoff the compile above IS the
-        # incremental AllSAT enumerator — time the PR 4 blocking-clause
-        # loop on the same formulas (REPRO_ALLSAT=0, read live) and verify
-        # it reproduces the same masks bit for bit.
+        # Past the shard cutoff the compile above IS the incremental
+        # AllSAT enumerator: record its cube compression.
         if not within_shard:
             if allsat.STATS["enumerations"] <= stats_before["enumerations"]:
                 raise AssertionError(
                     f"allsat enumerator not exercised at {size} letters"
-                )
-            os.environ["REPRO_ALLSAT"] = "0"
-            try:
-                start = time.perf_counter()
-                t_blocking = bit_models(workload.t_formula, workload.letters)
-                p_blocking = bit_models(workload.p_formula, workload.letters)
-                blocking_seconds = time.perf_counter() - start
-            finally:
-                del os.environ["REPRO_ALLSAT"]
-            if sorted(t_blocking.iter_masks()) != list(workload.t_masks):
-                raise AssertionError(
-                    f"blocking-loop T mismatch at {size} letters"
-                )
-            if sorted(p_blocking.iter_masks()) != list(workload.p_masks):
-                raise AssertionError(
-                    f"blocking-loop P mismatch at {size} letters"
                 )
             enumeration_records.append(
                 {
                     "size": size,
                     "models": t_bits.count() + p_bits.count(),
                     "allsat_compile_s": compile_seconds,
-                    "blocking_compile_s": blocking_seconds,
-                    "enum_speedup": (
-                        blocking_seconds / compile_seconds
-                        if compile_seconds > 0 else None
-                    ),
                     "cubes": allsat.STATS["cubes"] - stats_before["cubes"],
                     "resumes": (
                         allsat.STATS["resumes"] - stats_before["resumes"]
                     ),
                 }
-            )
-            shown_speedup = (
-                f"{blocking_seconds / compile_seconds:.1f}x"
-                if compile_seconds > 0 else "n/a"
-            )
-            print(
-                f"  n={size}: enumeration allsat={compile_seconds:.2f}s "
-                f"blocking={blocking_seconds:.2f}s "
-                f"({shown_speedup}, identical masks)", flush=True,
             )
         print(
             f"  n={size}: compile {compile_seconds:.2f}s "
@@ -551,27 +518,6 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
                     f"pipeline mismatch: size={size} op={name}"
                 )
 
-            # PR 4 cross-check: the same end-to-end pipeline with the
-            # incremental enumerator disabled (blocking-clause loop) must
-            # produce bit-identical result masks for every operator.
-            if not within_shard:
-                os.environ["REPRO_ALLSAT"] = "0"
-                try:
-                    start = time.perf_counter()
-                    pr4_result = revise(
-                        workload.t_formula, workload.p_formula, name
-                    )
-                    pr4_end_seconds = time.perf_counter() - start
-                finally:
-                    del os.environ["REPRO_ALLSAT"]
-                if _masks_digest(pr4_result) != digest:
-                    raise AssertionError(
-                        f"allsat/blocking pipeline mismatch: size={size} "
-                        f"op={name}"
-                    )
-            else:
-                pr4_end_seconds = None
-
             records.append(
                 {
                     "size": size,
@@ -582,7 +528,6 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
                     "tier": sparse_result.engine_tier,
                     "compile_s": compile_seconds,
                     "new_s": end_seconds,
-                    "pr4_end_s": pr4_end_seconds,
                     "select_s": sparse_seconds,
                     "sharded_select_s": sharded_seconds,
                     "masks_select_s": masks_seconds,
@@ -597,14 +542,10 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
                 if isinstance(sharded_seconds, float)
                 else "sharded=n/a"
             )
-            pr4_shown = (
-                f" pr4-end={pr4_end_seconds:.2f}s"
-                if pr4_end_seconds is not None else ""
-            )
             print(
                 f"  n={size:2d} {name:<9} select={sparse_seconds:.3f}s "
                 f"({shown}, masks={masks_seconds:.3f}s) "
-                f"end-to-end={end_seconds:.2f}s{pr4_shown} "
+                f"end-to-end={end_seconds:.2f}s "
                 f"[{sparse_result.engine_tier}]",
                 flush=True,
             )
@@ -624,31 +565,25 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
         # Reaching this line means every parity assertion above passed —
         # any mismatch raises and aborts the run instead of recording False.
         "verified_identical": True,
-        #: Enumeration A/B past the shard cutoff: the incremental AllSAT
-        #: enumerator vs the PR 4 blocking-clause loop on the same
-        #: formulas, masks verified identical (plus per-operator
-        #: ``pr4_end_s`` end-to-end cross-checks in ``results``).
+        #: Enumeration past the shard cutoff: the incremental AllSAT
+        #: compile per size, with its cube and solver-resume counts.
         "enumeration": enumeration_records,
         "results": records,
     }
 
 
 def run_cdcl_benchmark(sizes, model_count, seeds, reps=2):
-    """The clause-heavy CDCL workload: learning on vs off, masks verified.
+    """The clause-heavy CDCL workload: enumeration time, masks verified.
 
     Per (size, seed), one :mod:`repro.hardness.clause_family` pair — a
     planted-selector CNF whose ground-truth model set is known exactly —
-    enumerated to cubes twice: with clause learning (``REPRO_CDCL=1``, the
-    default CDCL core) and without (``REPRO_CDCL=0``, the PR 5
-    chronological search).  Both runs must reproduce the planted masks bit
-    for bit; the first seed of each size additionally re-enumerates under
-    ``REPRO_PARALLEL=2`` with the component/prefix fan-out live and checks
-    the masks a third time (worker count may change the cube partition,
-    never the model set).
+    enumerated to cubes by the CDCL enumerator.  The masks must reproduce
+    the planted ground truth bit for bit, and the learning counters must
+    fire.
 
     Timings are **CPU seconds** (``time.process_time``, min over ``reps``)
-    — the enumeration legs are single-threaded and CPU-bound, and CPU time
-    is immune to the co-tenant steal that dominates wall-clock variance on
+    — the enumeration is single-threaded and CPU-bound, and CPU time is
+    immune to the co-tenant steal that dominates wall-clock variance on
     shared runners.
     """
     from repro.hardness import clause_family
@@ -661,91 +596,45 @@ def run_cdcl_benchmark(sizes, model_count, seeds, reps=2):
     )
     records = []
 
-    def _enumerate(workload, letters, cdcl, parallel):
-        saved_cdcl = os.environ.get("REPRO_CDCL")
-        os.environ["REPRO_CDCL"] = cdcl
-        try:
-            best = None
-            masks = None
-            for _ in range(reps if not parallel else 1):
-                enc = _Encoding()
-                enc.add_formula(workload.t_formula)
-                projection = sorted(enc.var(name) for name in letters)
-                bit_of = {
-                    enc.var(name): bit for bit, name in enumerate(letters)
-                }
-                gc.collect()
-                gc.disable()
-                start = time.process_time()
-                cubes = list(
-                    allsat.enumerate_cubes(
-                        enc.instance, projection, parallel=parallel
-                    )
-                )
-                elapsed = time.process_time() - start
-                gc.enable()
-                best = elapsed if best is None else min(best, elapsed)
-                masks = tuple(sorted(allsat.cube_masks(cubes, bit_of)))
-        finally:
-            if saved_cdcl is None:
-                del os.environ["REPRO_CDCL"]
-            else:
-                os.environ["REPRO_CDCL"] = saved_cdcl
+    def _enumerate(workload, letters):
+        best = None
+        masks = None
+        for _ in range(reps):
+            enc = _Encoding()
+            enc.add_formula(workload.t_formula)
+            projection = sorted(enc.var(name) for name in letters)
+            bit_of = {enc.var(name): bit for bit, name in enumerate(letters)}
+            gc.collect()
+            gc.disable()
+            start = time.process_time()
+            cubes = list(allsat.enumerate_cubes(enc.instance, projection))
+            elapsed = time.process_time() - start
+            gc.enable()
+            best = elapsed if best is None else min(best, elapsed)
+            masks = tuple(sorted(allsat.cube_masks(cubes, bit_of)))
         return best, masks
 
     for size in sizes:
-        for index, seed in enumerate(seeds):
+        for seed in seeds:
             workload = clause_family.build(
                 size, model_count, model_count, seed=seed,
                 noise_per_letter=9.0, noise_width=(3, 4),
             )
             letters = sorted(workload.letters)
             stats_before = dict(allsat.STATS)
-            cdcl_seconds, cdcl_masks = _enumerate(
-                workload, letters, "1", False
-            )
+            cdcl_seconds, cdcl_masks = _enumerate(workload, letters)
             conflicts = allsat.STATS["conflicts"] - stats_before["conflicts"]
             learned = allsat.STATS["learned"] - stats_before["learned"]
-            chrono_seconds, chrono_masks = _enumerate(
-                workload, letters, "0", False
-            )
             if cdcl_masks != workload.t_masks:
                 raise AssertionError(
                     f"CDCL masks diverge from ground truth at {size} "
                     f"letters (seed {seed})"
-                )
-            if chrono_masks != workload.t_masks:
-                raise AssertionError(
-                    f"chronological masks diverge from ground truth at "
-                    f"{size} letters (seed {seed})"
                 )
             if conflicts <= 0 or learned <= 0:
                 raise AssertionError(
                     f"CDCL counters did not fire at {size} letters "
                     f"(seed {seed}): conflicts={conflicts} learned={learned}"
                 )
-            parallel_identical = None
-            if index == 0:
-                saved_workers = os.environ.get("REPRO_PARALLEL")
-                os.environ["REPRO_PARALLEL"] = "2"
-                try:
-                    _, parallel_masks = _enumerate(
-                        workload, letters, "1", True
-                    )
-                finally:
-                    if saved_workers is None:
-                        del os.environ["REPRO_PARALLEL"]
-                    else:
-                        os.environ["REPRO_PARALLEL"] = saved_workers
-                if parallel_masks != workload.t_masks:
-                    raise AssertionError(
-                        f"parallel masks diverge at {size} letters "
-                        f"(seed {seed})"
-                    )
-                parallel_identical = True
-            speedup = (
-                chrono_seconds / cdcl_seconds if cdcl_seconds > 0 else None
-            )
             records.append(
                 {
                     "size": size,
@@ -753,18 +642,13 @@ def run_cdcl_benchmark(sizes, model_count, seeds, reps=2):
                     "models": workload.t_model_count,
                     "clauses": workload.clause_counts[0],
                     "cdcl_cpu_s": cdcl_seconds,
-                    "chrono_cpu_s": chrono_seconds,
-                    "enum_speedup": speedup,
                     "conflicts": conflicts,
                     "learned": learned,
-                    "parallel_masks_identical": parallel_identical,
                 }
             )
-            shown = f"{speedup:.1f}x" if speedup is not None else "n/a"
             print(
                 f"  n={size} seed={seed}: cdcl={cdcl_seconds:.2f}s "
-                f"chrono={chrono_seconds:.2f}s ({shown}, "
-                f"{conflicts} conflicts, {learned} learned, "
+                f"({conflicts} conflicts, {learned} learned, "
                 f"identical masks)", flush=True,
             )
     return {
@@ -812,38 +696,26 @@ def run_governance_benchmark(sizes, model_count, seeds, reps=3):
     )
 
     def _enumerate(workload, letters, governed):
-        saved_cdcl = os.environ.get("REPRO_CDCL")
-        os.environ["REPRO_CDCL"] = "1"
-        try:
-            best = None
-            masks = None
-            for _ in range(reps):
-                enc = _Encoding()
-                enc.add_formula(workload.t_formula)
-                projection = sorted(enc.var(name) for name in letters)
-                bit_of = {
-                    enc.var(name): bit for bit, name in enumerate(letters)
-                }
-                budget = (
-                    runtime.Budget(deadline=3600.0, max_models=1 << 40)
-                    if governed else contextlib.nullcontext()
-                )
-                gc.collect()
-                gc.disable()
-                with budget:
-                    start = time.process_time()
-                    cubes = list(
-                        allsat.enumerate_cubes(enc.instance, projection)
-                    )
-                    elapsed = time.process_time() - start
-                gc.enable()
-                best = elapsed if best is None else min(best, elapsed)
-                masks = tuple(sorted(allsat.cube_masks(cubes, bit_of)))
-        finally:
-            if saved_cdcl is None:
-                del os.environ["REPRO_CDCL"]
-            else:
-                os.environ["REPRO_CDCL"] = saved_cdcl
+        best = None
+        masks = None
+        for _ in range(reps):
+            enc = _Encoding()
+            enc.add_formula(workload.t_formula)
+            projection = sorted(enc.var(name) for name in letters)
+            bit_of = {enc.var(name): bit for bit, name in enumerate(letters)}
+            budget = (
+                runtime.Budget(deadline=3600.0, max_models=1 << 40)
+                if governed else contextlib.nullcontext()
+            )
+            gc.collect()
+            gc.disable()
+            with budget:
+                start = time.process_time()
+                cubes = list(allsat.enumerate_cubes(enc.instance, projection))
+                elapsed = time.process_time() - start
+            gc.enable()
+            best = elapsed if best is None else min(best, elapsed)
+            masks = tuple(sorted(allsat.cube_masks(cubes, bit_of)))
         return best, masks
 
     records = []
@@ -928,8 +800,8 @@ def run_governance_benchmark(sizes, model_count, seeds, reps=3):
 
 
 def run_spot_check(size, operators):
-    """Verify the sharded tier against the SAT blocking-clause fallback on
-    a sparse instance above the big-int cutoff (model sets must match
+    """Verify the sharded tier against the SAT-tier fallback on a sparse
+    instance above the big-int cutoff (model sets must match
     bit-for-bit)."""
     print(f"\nspot check at {size} letters: sharded vs SAT fallback")
     t, p, t_count, p_count = _workload(
@@ -1385,8 +1257,7 @@ def main(argv=None):
         "--cdcl-sizes", type=int, nargs="+", default=None, metavar="SIZE",
         help="also run the clause-heavy CDCL workload "
              "(repro.hardness.clause_family) at these alphabet sizes, "
-             "A/Bing clause learning against the chronological search "
-             "(REPRO_CDCL=0) with masks verified against ground truth",
+             "with masks verified against ground truth",
     )
     parser.add_argument(
         "--cdcl-models", type=int, default=448,
@@ -1484,13 +1355,10 @@ def main(argv=None):
             ),
             "allsat": (
                 "incremental AllSAT enumeration (repro.sat.allsat): "
-                "resume-don't-restart CDCL search (first-UIP learning, "
-                "VSIDS, floor-clamped backjumps; REPRO_CDCL=0 restores "
-                "the chronological PR 5 search) with cube generalization, "
-                "component splitting and the REPRO_PARALLEL fan-out feeds "
-                "the SAT tier; REPRO_ALLSAT=0 restores the blocking-"
-                "clause loop (the A/Bs in sparse_tier.enumeration and "
-                "cdcl_allsat)"
+                "one serial resume-don't-restart CDCL search (first-UIP "
+                "learning, VSIDS, floor-clamped backjumps) with cube "
+                "generalization and component splitting feeds the SAT "
+                "tier"
             ),
         },
         "models_verified_identical": all(
@@ -1609,7 +1477,7 @@ def main(argv=None):
         ]
         lines += format_table(
             ["operator", "letters", "select s", "sharded s", "masks s",
-             "end-to-end s", "pr4 end s", "tier"],
+             "end-to-end s", "tier"],
             [
                 [
                     r["operator"],
@@ -1622,10 +1490,6 @@ def main(argv=None):
                     ),
                     f"{r['masks_select_s']:.4f}",
                     f"{r['new_s']:.2f}",
-                    (
-                        f"{r['pr4_end_s']:.2f}"
-                        if r.get("pr4_end_s") is not None else "-"
-                    ),
                     r["tier"],
                 ]
                 for r in sparse_payload["results"]
@@ -1634,23 +1498,16 @@ def main(argv=None):
         if sparse_payload["enumeration"]:
             lines += [
                 "",
-                "Enumeration A/B (incremental AllSAT vs blocking-clause "
-                "loop, identical masks):",
+                "Enumeration past the shard cutoff (incremental AllSAT):",
                 "",
             ]
             lines += format_table(
-                ["letters", "models", "allsat s", "blocking s", "speedup",
-                 "cubes", "resumes"],
+                ["letters", "models", "allsat s", "cubes", "resumes"],
                 [
                     [
                         r["size"],
                         r["models"],
                         f"{r['allsat_compile_s']:.3f}",
-                        f"{r['blocking_compile_s']:.3f}",
-                        (
-                            f"{r['enum_speedup']:.1f}x"
-                            if r["enum_speedup"] is not None else "n/a"
-                        ),
                         r["cubes"],
                         r["resumes"],
                     ]

@@ -1,9 +1,9 @@
 """Legacy setup shim.
 
-The environment ships setuptools without the ``wheel`` package, so PEP 660
-editable installs are unavailable offline; this file enables
-``pip install -e . --no-use-pep517`` (and plain ``python setup.py develop``).
-Package metadata lives in ``pyproject.toml``.
+Without the ``wheel`` package, PEP 660 editable installs are unavailable
+offline; this file enables ``python setup.py develop`` (and, where
+``wheel`` is installed, ``pip install -e . --no-use-pep517``).  Package
+metadata lives in ``pyproject.toml``.
 """
 
 from setuptools import setup

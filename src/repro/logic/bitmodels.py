@@ -70,9 +70,8 @@ the sparse tier beyond that whenever a model-count bound fits the live
 ``shards.SPARSE_MAX_MODELS`` budget, and the SAT tier plus the Level-1
 mask operations otherwise.  The SAT tier's model sets come from the
 incremental AllSAT enumerator of :mod:`repro.sat.allsat` (resumable
-chronological search emitting don't-care *cubes* straight into masks or
-sparse column blocks; ``REPRO_ALLSAT=0`` keeps the old blocking-clause
-loop).  All callers in :mod:`repro.sat.interface` and
+CDCL search emitting don't-care *cubes* straight into masks or sparse
+column blocks).  All callers in :mod:`repro.sat.interface` and
 :mod:`repro.revision` apply the dispatch automatically;
 :class:`BitModelSet` materialises its mask set lazily so sharded- and
 sparse-tier results can stay in carrier form end to end.

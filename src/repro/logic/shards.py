@@ -1434,7 +1434,8 @@ def _pointwise_range_worker(args) -> List[int]:
     table = ShardedTable(
         BitAlphabet(letters), shards=shard_list, shard_bits=shard_bits
     )
-    return _pointwise_serial(kind, table, masks)._shards
+    with _obs.span("kernel.range", kind=kind, models=len(masks)):
+        return _pointwise_serial(kind, table, masks)._shards
 
 
 def _pointwise_int(

@@ -784,7 +784,8 @@ def _pointwise_int_serial(kind, p_ints, t_ints):
 def _sparse_range_worker(args):
     """Top-level (picklable) worker for the pure-int process fan-out."""
     kind, p_ints, t_chunk = args
-    return _pointwise_int_serial(kind, p_ints, t_chunk)
+    with _obs.span("kernel.range", kind=kind, models=len(t_chunk)):
+        return _pointwise_int_serial(kind, p_ints, t_chunk)
 
 
 def _pointwise_int(kind, p_set, t_ints, processes):

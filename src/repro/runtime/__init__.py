@@ -25,7 +25,8 @@ every :data:`CHECKPOINT_INTERVAL` decisions/conflicts, the streams and
 kernels once per cube/chunk.  While a deadline or cancellable budget is
 active, :func:`allows_fanout` turns process fan-out off — a child
 process cannot observe the parent's checkpoints — and the serial paths
-(which can) serve instead.
+(which can) serve instead; it does the same inside a daemonic process,
+which may not have children.
 
 Fault injection for all of the above lives in
 :mod:`repro.runtime.faults` (``REPRO_FAULTS``); the crash-tolerant
@@ -34,6 +35,7 @@ process-pool map in :mod:`repro.runtime.pool`.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from typing import List, Optional
 
@@ -281,12 +283,16 @@ def charge_words(count: int, context: str = "allocation") -> None:
 
 
 def allows_fanout() -> bool:
-    """Whether process fan-out is permitted under the governing budget.
+    """Whether process fan-out is permitted here.
 
     Child processes cannot observe the parent's deadline or
     cancellation, so any budget carrying either routes the work to the
-    serial/threaded paths, which checkpoint cooperatively.
+    serial/threaded paths, which checkpoint cooperatively.  A daemonic
+    process (a service worker, a pool worker) may not have children at
+    all, so fan-out is off inside one as well.
     """
+    if multiprocessing.current_process().daemon:
+        return False
     budget = _ACTIVE
     return budget is None or (
         budget._expires is None and not budget._cancelled

@@ -1,7 +1,7 @@
 """Incremental AllSAT: projected model enumeration without blocking clauses.
 
-The classic blocking-clause loop (kept in :mod:`repro.sat.enumerate` as the
-``REPRO_ALLSAT=0`` reference path) restarts DPLL from scratch per model
+The classic blocking-clause loop (kept in :mod:`repro.sat.enumerate` as
+the tests' reference oracle) restarts DPLL from scratch per model
 against an ever-growing clause pile — quadratic in the model count, and the
 dominant cost of the large-alphabet revision pipeline once the sparse tier
 made the selections density-proportional.  This module replaces it with a
@@ -38,94 +38,43 @@ generalization as in Möhle & Biere's dualizing enumerators):
   level-0 propagation) never even reach the solver — they ride along as
   free bits of every cube.
 
-Everything is deterministic: the solver branches deterministically, cube
-expansion enumerates free-bit completions in ascending order, and
-components combine in sorted order — so tests and benchmarks reproduce
-exactly, and the *set* of projected models is identical to the
-blocking-clause loop's (the hypothesis suite in ``tests/test_allsat.py``
-asserts it across projections, limits and degenerate shapes).
+Underneath, the solver is a CDCL core: on clause-heavy (non-DNF) shapes
+the "no further models" proof inside each region is a first-UIP learning
+search instead of exponential chronological backtracking (see
+:mod:`repro.sat.solver` for why learning is sound under resumes).
 
-A fourth layer arrived with the CDCL solver core: on clause-heavy
-(non-DNF) shapes the "no further models" proof inside each region is now a
-first-UIP learning search instead of exponential chronological
-backtracking (see :mod:`repro.sat.solver` for why learning is sound under
-resumes), and independent cube streams — one per connected component, or
-disjoint decision-prefix subtrees of one large component — can fan out
-over worker processes.  Combines are union-only (cube lists concatenate;
-masks and carriers are built by sorted-deduplicating expansion), so the
-emitted *model set* is bit-identical for any worker count.
-
-Knobs:
-
-* ``REPRO_ALLSAT=0`` — disable the incremental enumerator entirely;
-  :func:`repro.sat.enumerate.enumerate_models` then runs the blocking-
-  clause loop (A/B timing, parity testing).  Read **live** at every
-  call, so harnesses can flip it in-process;
-* ``REPRO_CDCL=0`` — disable clause learning in the solver core (read at
-  every :class:`~repro.sat.solver.Solver` construction, see
-  :func:`repro.sat.solver.cdcl_enabled`) — the chronological-DPLL A/B
-  baseline;
-* :data:`CUBES` / :data:`COMPONENTS` / :data:`PARALLEL` — disable cube
-  generalization / component splitting / process fan-out individually.
-  Initialised once at import from ``REPRO_ALLSAT_CUBES=0`` /
-  ``REPRO_ALLSAT_COMPONENTS=0`` / ``REPRO_ALLSAT_PARALLEL=0``; for
-  in-process A/B, retarget the *module attributes* (as the hypothesis
-  suite does), not the environment.  The fan-out width itself comes from
-  :func:`repro.logic.shards.parallel_workers` (``REPRO_PARALLEL``), like
-  the sparse tier's.
+Everything is deterministic and serial: the solver branches
+deterministically, cube expansion enumerates free-bit completions in
+ascending order, and components combine in sorted order — so tests and
+benchmarks reproduce exactly, and the *set* of projected models is
+identical to the blocking-clause loop's (the hypothesis suite in
+``tests/test_allsat.py`` asserts it across projections, limits and
+degenerate shapes).  There is one engine, :class:`CubeStream`, and no
+switch to turn any of its layers off.
 
 :data:`STATS` counts enumerations, solver resumes, cubes and models, plus
 the CDCL counters (conflicts, learned clauses, restarts, deepest
-backjump) and the parallel fan-out shape — the CI perf-smoke legs assert
-the enumerator actually served the workload, and benchmarks report cube
-compression ratios and learning activity from it.
+backjump) — the CI perf-smoke legs assert the enumerator actually served
+the workload, and benchmarks report cube compression ratios and learning
+activity from it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs as _obs
 from repro import runtime as _runtime
-from repro.runtime import pool as _pool
 
 from .solver import CnfInstance, Solver
 
-#: Cube generalization on/off (env ``REPRO_ALLSAT_CUBES=0`` at import);
-#: a module attribute — tests and harnesses retarget it at runtime.
-CUBES = os.environ.get("REPRO_ALLSAT_CUBES", "1") != "0"
-
-#: Component splitting on/off (env ``REPRO_ALLSAT_COMPONENTS=0`` at
-#: import); a module attribute, retargetable at runtime like :data:`CUBES`.
-COMPONENTS = os.environ.get("REPRO_ALLSAT_COMPONENTS", "1") != "0"
-
-#: Process fan-out on/off (env ``REPRO_ALLSAT_PARALLEL=0`` at import); a
-#: module attribute.  Even when on, fan-out engages only for unlimited
-#: enumerations and only when ``repro.logic.shards.parallel_workers``
-#: grants more than one worker for the projection size.
-PARALLEL = os.environ.get("REPRO_ALLSAT_PARALLEL", "1") != "0"
-
-#: Prefix-split a *single* component only when its projection has at
-#: least this many variables (below that, subtree setup dwarfs the work).
-PARALLEL_SPLIT_MIN_VARS = 6
-
-#: Oversplit factor: a lone component is cut into roughly this many
-#: decision-prefix subtrees per worker, so uneven subtrees load-balance.
-PARALLEL_SPLIT_FACTOR = 4
-
-#: Hard cap on the prefix depth (2^depth subtrees).
-PARALLEL_SPLIT_MAX_DEPTH = 8
-
 #: Running counters for observability: how many enumerations ran, how many
 #: solver resumes / emitted cubes / covered models they produced, how many
-#: components were split off, the CDCL activity behind them (conflicts,
-#: learned clauses, restarts, deepest backjump — folded in from each
-#: solver), and the parallel fan-out shape (fan-outs run, subproblems
-#: dispatched, workers of the last fan-out).  Monotonic per process except
-#: ``max_backjump`` (a high-water mark) and ``parallel_workers`` (last
-#: value); the CI smoke legs assert they move when the enumerator is
-#: supposed to serve.  Since PR 9 this is an ``allsat.*`` view of
+#: components were split off, and the CDCL activity behind them
+#: (conflicts, learned clauses, restarts, deepest backjump — folded in
+#: from each solver).  Monotonic per process except ``max_backjump`` (a
+#: high-water mark); the CI smoke legs assert they move when the
+#: enumerator is supposed to serve.  An ``allsat.*`` view of
 #: :data:`repro.obs.metrics.REGISTRY`: thread-safe, merged across pool
 #: workers, and covered by the one registry ``reset()``; the CDCL fold
 #: also carries ``propagations`` (trail literals propagated) and
@@ -144,21 +93,9 @@ STATS = _obs.CounterGroup(
         "learned_db",
         "restarts",
         "max_backjump",
-        "parallel_enumerations",
-        "parallel_components",
-        "parallel_workers",
     ),
     max_keys=("max_backjump", "learned_db"),
 )
-
-
-def enabled() -> bool:
-    """Whether the incremental enumerator is live (env ``REPRO_ALLSAT``).
-
-    Read at call time, like the tier knobs of :mod:`repro.logic.shards`,
-    so benchmark harnesses can A/B the blocking-clause loop in-process.
-    """
-    return os.environ.get("REPRO_ALLSAT", "1") != "0"
 
 
 class Cube:
@@ -256,10 +193,8 @@ class _ComponentEnumerator:
         instance: CnfInstance,
         projection: Sequence[int],
         variables: Optional[Set[int]] = None,
-        generalize: bool = True,
     ) -> None:
         self.projection = list(projection)
-        self.generalize = generalize
         self.solver = Solver(instance)
         self.solver.set_branch_priority(self.projection)
         if variables is not None:
@@ -321,46 +256,38 @@ class _ComponentEnumerator:
         proj_set = self._proj_set
         covered: Set[int] = set()
         flip_lit: Optional[int] = None
-        if self.generalize:
-            occurrences = self._occ()
-            generalizing = True
-            for segment in reversed(solver.decision_segments()):
-                decision = segment[0]
-                if abs(decision) not in proj_set:
-                    # Auxiliary level: it holds no projection literal
-                    # (projection-first branching), so popping it never
-                    # changes the projected model — always covered.
-                    continue
-                if decision < 0:
-                    # Second phase: both subtrees explored, pop — but
-                    # its value pins the cube, so no shallower variable
-                    # may be generalized past it (the shallower flip
-                    # subtree would revisit this variable's two phases,
-                    # which the cube holds fixed).
-                    generalizing = False
-                    continue
-                # A first-phase projection decision joins the don't-care
-                # set only while the whole deeper suffix is covered and
-                # (a) every clause its literal satisfies has another
-                # satisfying literal outside the set, and (b) its level
-                # forced no other projection literal (flipping it would
-                # release those forced values, which the cube fixes).
-                if (
-                    generalizing
-                    and all(
-                        abs(lit) not in proj_set for lit in segment[1:]
-                    )
-                    and _dont_care(solver, decision, covered, occurrences)
-                ):
-                    covered.add(decision)
-                    continue
-                flip_lit = decision
-                break
-        else:
-            for decision in reversed(solver.decisions()):
-                if decision > 0 and decision in proj_set:
-                    flip_lit = decision
-                    break
+        occurrences = self._occ()
+        generalizing = True
+        for segment in reversed(solver.decision_segments()):
+            decision = segment[0]
+            if abs(decision) not in proj_set:
+                # Auxiliary level: it holds no projection literal
+                # (projection-first branching), so popping it never
+                # changes the projected model — always covered.
+                continue
+            if decision < 0:
+                # Second phase: both subtrees explored, pop — but
+                # its value pins the cube, so no shallower variable
+                # may be generalized past it (the shallower flip
+                # subtree would revisit this variable's two phases,
+                # which the cube holds fixed).
+                generalizing = False
+                continue
+            # A first-phase projection decision joins the don't-care
+            # set only while the whole deeper suffix is covered and
+            # (a) every clause its literal satisfies has another
+            # satisfying literal outside the set, and (b) its level
+            # forced no other projection literal (flipping it would
+            # release those forced values, which the cube fixes).
+            if (
+                generalizing
+                and all(abs(lit) not in proj_set for lit in segment[1:])
+                and _dont_care(solver, decision, covered, occurrences)
+            ):
+                covered.add(decision)
+                continue
+            flip_lit = decision
+            break
         value_of = solver.value_of
         lits = tuple(
             var if value_of(var) else -var
@@ -481,118 +408,18 @@ def _merge_cubes(parts: Sequence[Cube]) -> Cube:
     return Cube(tuple(lits), tuple(free))
 
 
-def _component_worker(args: tuple) -> List[Tuple[tuple, tuple]]:
-    """Top-level (picklable) worker: enumerate one component subproblem.
-
-    ``prefix`` literals are added as unit clauses — a decision-prefix
-    subtree of the component's search space; the prefix vars propagate at
-    level 0 and come back fixed in every cube, so subtree cube lists from
-    complementary prefixes union into exactly the component's stream.
-    Returns plain ``(lits, free)`` tuples.  The STATS this subproblem
-    bumps land in the worker's registry and ride back to the parent in
-    the pool's telemetry envelope (:mod:`repro.runtime.pool`) — the old
-    hand-rolled counter delta this function used to return is exactly
-    what that envelope now carries for *every* fan-out.
-    """
-    num_vars, clauses, projection, variables, prefix, generalize = args
-    with _obs.span(
-        "sat.component", vars=len(variables), prefix=len(prefix)
-    ) as comp_span:
-        sub = CnfInstance(num_vars)
-        sub.clauses = [list(clause) for clause in clauses]
-        for lit in prefix:
-            sub.clauses.append([lit])
-        enumerator = _ComponentEnumerator(
-            sub, projection, variables=set(variables), generalize=generalize
-        )
-        out = [(cube.lits, cube.free) for cube in enumerator.cubes()]
-        comp_span.set("cubes", len(out))
-    return out
-
-
-def _parallel_component_cubes(
-    components: List[Tuple[List[List[int]], List[int]]],
-    num_vars: int,
-    generalize: bool,
-    workers: int,
-) -> Optional[List[List[Cube]]]:
-    """Fan the component cube streams over worker processes.
-
-    Multiple components parallelize as-is; a *single* large component is
-    cut into ``2^depth`` disjoint decision-prefix subtrees over its first
-    (sorted) projection variables.  Returns the collected cube list per
-    projection-bearing component — union-only combining, so the covered
-    model set is identical for every worker count — or ``None`` when some
-    component is unsatisfiable (a component is unsatisfiable iff *all* of
-    its subtrees come back empty).
-
-    The fan-out runs through :func:`repro.runtime.pool.map_with_recovery`:
-    a crashed worker's jobs are re-run inline in the parent, and since the
-    combine is a pure union the masks stay bit-identical for any crash
-    pattern; executor shutdown always cancels pending futures, so no
-    orphan worker survives an error or ``KeyboardInterrupt`` mid-map.
-    """
-    jobs: List[Tuple[int, tuple]] = []
-    for comp_id, (clauses, projection) in enumerate(components):
-        variables = sorted({abs(lit) for clause in clauses for lit in clause})
-        prefixes: List[Tuple[int, ...]] = [()]
-        if len(components) == 1 and len(projection) >= PARALLEL_SPLIT_MIN_VARS:
-            depth = 0
-            while (
-                (1 << depth) < workers * PARALLEL_SPLIT_FACTOR
-                and depth < len(projection) - 1
-                and depth < PARALLEL_SPLIT_MAX_DEPTH
-            ):
-                depth += 1
-            split_vars = sorted(projection)[:depth]
-            prefixes = [
-                tuple(
-                    var if code >> position & 1 else -var
-                    for position, var in enumerate(split_vars)
-                )
-                for code in range(1 << depth)
-            ]
-        for prefix in prefixes:
-            jobs.append(
-                (
-                    comp_id,
-                    (num_vars, clauses, projection, variables, prefix, generalize),
-                )
-            )
-    pool_size = min(workers, len(jobs))
-    outcomes = _pool.map_with_recovery(
-        _component_worker,
-        [args for _, args in jobs],
-        workers=pool_size,
-        label="allsat component fan-out",
-    )
-    STATS.inc("parallel_enumerations")
-    STATS.inc("parallel_components", len(jobs))
-    STATS["parallel_workers"] = pool_size
-    per_component: List[List[Cube]] = [[] for _ in components]
-    for (comp_id, _), cubes in zip(jobs, outcomes):
-        per_component[comp_id].extend(Cube(lits, free) for lits, free in cubes)
-    streams: List[List[Cube]] = []
-    for (clauses, projection), cubes in zip(components, per_component):
-        if not cubes:
-            return None  # unsatisfiable component: no models at all
-        if projection:
-            streams.append(cubes)
-    return streams
-
-
 def _primed_split(
     instance: CnfInstance,
     proj_vars: Sequence[int],
     assumptions: Sequence[int],
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], List[List[int]], Set[int]]]:
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], List[List[int]]]]:
     """Prime level-0 units + assumptions and split the reduced CNF.
 
     Returns ``None`` when the instance conflicts under the assumptions
-    (no models), else ``(fixed, free, residual, constrained)``: the
-    projection literals already decided by propagation, the projection
-    variables no residual clause mentions (free bits of every cube), the
-    reduced unsatisfied clauses, and the set of variables they mention.
+    (no models), else ``(fixed, free, residual)``: the projection
+    literals already decided by propagation, the projection variables no
+    residual clause mentions (free bits of every cube), and the reduced
+    unsatisfied clauses.
     """
     probe = Solver(instance)
     if not probe.prime(assumptions):
@@ -626,13 +453,13 @@ def _primed_split(
             fixed.append(var if assigned else -var)
         elif var not in constrained:
             free.append(var)
-    return tuple(fixed), tuple(free), residual, constrained
+    return tuple(fixed), tuple(free), residual
 
 
 class CubeStream:
-    """A resumable projected cube stream — the serial enumeration engine.
+    """A resumable projected cube stream — the one enumeration engine.
 
-    Reifies :func:`enumerate_cubes`'s serial paths as an object whose
+    :func:`enumerate_cubes` runs on it.  The stream is an object whose
     entire progress (primed split, per-component solver state machines,
     collection buffers, the cross-product odometer, the produced-model
     counter) persists across interrupts: when a budget checkpoint raises
@@ -654,8 +481,6 @@ class CubeStream:
         projection: Optional[Sequence[int]] = None,
         limit: Optional[int] = None,
         assumptions: Sequence[int] = (),
-        generalize: Optional[bool] = None,
-        split: Optional[bool] = None,
     ) -> None:
         self._instance = instance
         if projection is None:
@@ -664,8 +489,6 @@ class CubeStream:
             self._proj_vars = sorted(set(projection))
         self._limit = limit
         self._assumptions = tuple(assumptions)
-        self._generalize = CUBES if generalize is None else generalize
-        self._split = COMPONENTS if split is None else split
         self._state = "new"  # new | live | done
         self._stopped = False
         self._pending: Optional[Cube] = None
@@ -694,16 +517,11 @@ class CubeStream:
         primed = _primed_split(instance, self._proj_vars, self._assumptions)
         if primed is None:
             return False
-        fixed_tuple, free_tuple, residual, constrained = primed
+        fixed_tuple, free_tuple, residual = primed
         self._base = Cube(fixed_tuple, free_tuple)
         if not residual:
             return True  # everything decided by propagation: base only
-        proj_set = set(self._proj_vars)
-        components = (
-            _split_components(residual, proj_set)
-            if self._split
-            else [(residual, sorted(constrained & proj_set))]
-        )
+        components = _split_components(residual, set(self._proj_vars))
         if len(components) > 1:
             STATS.inc("components", len(components))
         for clauses, component_projection in components:
@@ -711,10 +529,7 @@ class CubeStream:
             sub = CnfInstance(instance.num_vars)
             sub.clauses = clauses
             enumerator = _ComponentEnumerator(
-                sub,
-                component_projection,
-                variables=component_vars,
-                generalize=self._generalize,
+                sub, component_projection, variables=component_vars
             )
             if component_projection:
                 self._enumerators.append(enumerator)
@@ -844,16 +659,13 @@ def enumerate_cubes(
     projection: Optional[Sequence[int]] = None,
     limit: Optional[int] = None,
     assumptions: Sequence[int] = (),
-    generalize: Optional[bool] = None,
-    split: Optional[bool] = None,
-    parallel: Optional[bool] = None,
 ) -> Iterator[Cube]:
     """Yield cubes jointly covering every projected model exactly once.
 
     The incremental counterpart of the blocking-clause
-    :func:`repro.sat.enumerate.enumerate_models`: same projection
-    semantics (each *projected* model covered exactly once; without a
-    projection, all variables), but models arrive grouped into
+    :func:`repro.sat.enumerate.enumerate_models_blocking`: same
+    projection semantics (each *projected* model covered exactly once;
+    without a projection, all variables), but models arrive grouped into
     :class:`Cube` partial assignments whose free variables the caller
     expands — or counts as ``2^k`` without expanding.
 
@@ -861,119 +673,16 @@ def enumerate_cubes(
     after the cube that reaches it (the final cube may overshoot; callers
     expanding models apply the exact cap).  ``assumptions`` constrain the
     search like :meth:`Solver.solve` assumptions do — the incremental-
-    carrier path enumerates deltas under them.  ``generalize`` / ``split``
-    / ``parallel`` override the live :data:`CUBES` / :data:`COMPONENTS` /
-    :data:`PARALLEL` defaults; fan-out additionally requires an unlimited
-    enumeration, more than one granted worker, and no governing deadline
-    (worker processes cannot observe the parent's checkpoints — under a
-    deadline or cancellable :class:`repro.runtime.Budget` the resumable
-    serial engine serves instead), and changes only the cube partition —
-    never the covered model set.
+    carrier path enumerates deltas under them.
 
-    Serial enumerations run on a :class:`CubeStream`, so a budget
-    checkpoint raise mid-stream is resumable: hold on to the stream
-    object (construct it directly) to continue after an interrupt.
+    A thin front on a fresh :class:`CubeStream`: hold on to the stream
+    object (construct it directly) to continue after a budget
+    checkpoint raise.
     """
-    if generalize is None:
-        generalize = CUBES
-    if split is None:
-        split = COMPONENTS
-    if parallel is None:
-        parallel = PARALLEL
-    if instance.has_empty_clause:
-        return
-    if projection is None:
-        proj_vars = list(range(1, instance.num_vars + 1))
-    else:
-        proj_vars = sorted(set(projection))
-
-    workers = 1
-    if parallel and limit is None and _runtime.allows_fanout():
-        from ..logic import shards as _shards
-
-        workers = _shards.parallel_workers(len(proj_vars))
-    if workers > 1:
-        yield from _enumerate_parallel(
-            instance, proj_vars, assumptions, generalize, split, workers
-        )
-        return
-
     stream = CubeStream(
-        instance,
-        projection=proj_vars,
-        limit=limit,
-        assumptions=assumptions,
-        generalize=generalize,
-        split=split,
+        instance, projection=projection, limit=limit, assumptions=assumptions
     )
-    yield from stream.cubes()
-
-
-def _enumerate_parallel(
-    instance: CnfInstance,
-    proj_vars: List[int],
-    assumptions: Sequence[int],
-    generalize: bool,
-    split: bool,
-    workers: int,
-) -> Iterator[Cube]:
-    """The process fan-out path of :func:`enumerate_cubes` (unlimited
-    enumerations only): collect per-component cube lists from the worker
-    pool, then merge/odometer exactly like the serial engine."""
-    STATS.inc("enumerations")
-    primed = _primed_split(instance, proj_vars, assumptions)
-    if primed is None:
-        return
-    fixed_tuple, free_tuple, residual, constrained = primed
-
-    def emitted(cube: Cube) -> Cube:
-        STATS.inc("cubes")
-        STATS.inc("models", cube.model_count())
-        _runtime.checkpoint()
-        _runtime.charge_models(cube.model_count())
-        return cube
-
-    if not residual:
-        # Everything decided by propagation: one cube covers it all.
-        yield emitted(Cube(fixed_tuple, free_tuple))
-        return
-
-    proj_set = set(proj_vars)
-    components = (
-        _split_components(residual, proj_set)
-        if split
-        else [(residual, sorted(constrained & proj_set))]
-    )
-    if len(components) > 1:
-        STATS.inc("components", len(components))
-
-    base = Cube(fixed_tuple, free_tuple)
-    streams = _parallel_component_cubes(
-        components, instance.num_vars, generalize, workers
-    )
-    if streams is None:
-        return  # unsatisfiable component
-    if not streams:
-        yield emitted(base)
-        return
-    if len(streams) == 1:
-        for cube in streams[0]:
-            yield emitted(_merge_cubes([base, cube]))
-        return
-    indices = [0] * len(streams)
-    while True:
-        parts = [base] + [stream[i] for stream, i in zip(streams, indices)]
-        yield emitted(_merge_cubes(parts))
-        # Odometer over the component streams, last component fastest.
-        position = len(streams) - 1
-        while position >= 0:
-            indices[position] += 1
-            if indices[position] < len(streams[position]):
-                break
-            indices[position] = 0
-            position -= 1
-        if position < 0:
-            return
+    return stream.cubes()
 
 
 def enumerate_models(

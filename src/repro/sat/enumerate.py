@@ -1,29 +1,26 @@
 """Model enumeration over CNF instances, with projection.
 
-This module is the stable front door; since PR 5 it is a thin dispatcher.
-The default engine is the **incremental AllSAT enumerator** of
-:mod:`repro.sat.allsat` — one solver per enumeration, resumed
-chronologically after each model, with cube generalization and component
-splitting — which replaced the classic blocking-clause loop as the
-production path (the loop restarts DPLL per model against an ever-growing
-clause pile, quadratic in the model count).
+This module is the stable front door onto the **incremental AllSAT
+enumerator** of :mod:`repro.sat.allsat` — one solver per enumeration,
+resumed chronologically after each model, with cube generalization and
+component splitting — which replaced the classic blocking-clause loop
+(the loop restarts DPLL per model against an ever-growing clause pile,
+quadratic in the model count).
 
 The blocking-clause loop is retained verbatim as
-:func:`enumerate_models_blocking`: it is the independent reference
-implementation the hypothesis suite checks the enumerator against, and
-setting ``REPRO_ALLSAT=0`` routes :func:`enumerate_models` back onto it
-for A/B timing (the knob is read live, so harnesses can flip it
-in-process).
+:func:`enumerate_models_blocking`, outside the production path: it is the
+reference implementation the hypothesis suites check the enumerator
+against.
 
-With projection, both engines enumerate each *projected* model exactly
-once, which is what the revision semantics need (models over
-``V(T) ∪ V(P)`` of a Tseitin-translated formula, ignoring auxiliary
-definitional letters).
+With projection, both enumerate each *projected* model exactly once,
+which is what the revision semantics need (models over ``V(T) ∪ V(P)``
+of a Tseitin-translated formula, ignoring auxiliary definitional
+letters).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import allsat as _allsat
 from .solver import CnfInstance, Solver
@@ -42,15 +39,10 @@ def enumerate_models(
 
     ``limit`` caps the number of models (useful as a guard in tests).
 
-    Engine: the incremental enumerator of :mod:`repro.sat.allsat` unless
-    ``REPRO_ALLSAT=0``, in which case the blocking-clause reference loop
-    runs.  Both produce the same model *set*; the iteration order is
-    engine-defined (callers that need an order sort or collect into sets,
-    as the library itself does).
+    The iteration order is engine-defined (callers that need an order
+    sort or collect into sets, as the library itself does).
     """
-    if _allsat.enabled():
-        return _allsat.enumerate_models(instance, projection, limit)
-    return enumerate_models_blocking(instance, projection, limit)
+    return _allsat.enumerate_models(instance, projection, limit)
 
 
 def enumerate_models_blocking(
@@ -62,8 +54,8 @@ def enumerate_models_blocking(
     to the projection, add the clause forbidding that projection, repeat.
 
     Quadratic in the model count (every restart re-propagates the grown
-    clause database) — kept as the ``REPRO_ALLSAT=0`` reference path and
-    the parity oracle for the incremental enumerator's tests.
+    clause database) — kept only as the parity oracle for the incremental
+    enumerator's tests.
     """
     if instance.has_empty_clause:
         return
@@ -95,16 +87,8 @@ def count_models(
 ) -> int:
     """Count projected models (up to ``limit`` if given).
 
-    On the incremental engine this sums ``2^k`` over the enumerator's
-    cubes without expanding them — a DNF-shaped instance counts in
-    ``O(#cubes)`` solver resumes.  A non-positive ``limit`` is 0 on both
-    engines.
+    Sums ``2^k`` over the enumerator's cubes without expanding them — a
+    DNF-shaped instance counts in ``O(#cubes)`` solver resumes.  A
+    non-positive ``limit`` is 0.
     """
-    if limit is not None and limit <= 0:
-        return 0
-    if _allsat.enabled():
-        return _allsat.count_models(instance, projection, limit)
-    total = 0
-    for _ in enumerate_models_blocking(instance, projection, limit):
-        total += 1
-    return total
+    return _allsat.count_models(instance, projection, limit)

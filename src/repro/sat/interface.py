@@ -35,7 +35,7 @@ from ..logic.cnf import tseitin
 from ..logic.formula import And, Formula, Not, Or, Var, _Constant, land, lnot
 from ..logic.interpretation import Interpretation
 from . import allsat as _allsat
-from .enumerate import enumerate_models, enumerate_models_blocking
+from .enumerate import enumerate_models
 from .solver import CnfInstance, Solver
 
 
@@ -233,11 +233,10 @@ def models(
     Two engines, chosen by a cost estimate: a bit-parallel truth-table
     sweep for small alphabets (the formula compiles to one big-int column;
     see :mod:`repro.logic.bitmodels`), incremental SAT enumeration
-    (:mod:`repro.sat.allsat`; the blocking-clause loop under
-    ``REPRO_ALLSAT=0``) otherwise.  The sweep yields masks in ascending
-    order over the sorted alphabet — the same deterministic order as the
-    historical per-model evaluation; the SAT engines' order is
-    engine-defined (the model *set* is identical).
+    (:mod:`repro.sat.allsat`) otherwise.  The sweep yields masks in
+    ascending order over the sorted alphabet — the same deterministic
+    order as the historical per-model evaluation; the SAT engine's order
+    is engine-defined (the model *set* is identical).
     """
     if alphabet is None:
         names = sorted(formula.variables())
@@ -290,8 +289,7 @@ def bit_models(
     straight into packed masks — and, past every bitplane cutoff, straight
     into the sparse tier's :class:`~repro.logic.sparse.SparseModelSet`
     column blocks, so the carrier the selection rules run on is built in
-    one pass (``REPRO_ALLSAT=0`` restores the blocking-clause loop).  The
-    operators feed the enumerated set's model count to
+    one pass.  The operators feed the enumerated set's model count to
     :func:`repro.logic.shards.tier`, which routes bounded-density sets to
     the density-proportional sparse engine instead of the per-pair mask
     loops (see :func:`model_count_bound` for the pre-compilation density
@@ -345,18 +343,6 @@ def _projection_bits(
     return projection, bit_of
 
 
-def _blocking_mask_stream(
-    instance: CnfInstance, projection: List[int], bit_of: Dict[int, int]
-) -> Iterator[int]:
-    """Packed masks out of the blocking-clause loop (``REPRO_ALLSAT=0``)."""
-    for projected in enumerate_models_blocking(instance, projection):
-        mask = 0
-        for lit in projected:
-            if lit > 0:
-                mask |= 1 << bit_of[lit]
-        yield mask
-
-
 def _wrap_enumerated_masks(
     bit_alphabet: BitAlphabet, masks: List[int]
 ) -> BitModelSet:
@@ -379,13 +365,11 @@ def _enumerated_bit_models(
 ) -> BitModelSet:
     """The SAT-tier model set: incremental cubes straight to masks.
 
-    With the AllSAT enumerator live, cubes expand directly into packed
-    mask ints (no per-model tuples, dicts or Interpretation objects); on
-    sparse-tier alphabets the cubes expand into the
-    :class:`~repro.logic.sparse.SparseModelSet` column blocks themselves,
-    so the carrier the selection rules run on is built in one pass and the
-    mask frozenset never materialises.  ``REPRO_ALLSAT=0`` restores the
-    blocking-clause loop.
+    Cubes expand directly into packed mask ints (no per-model tuples,
+    dicts or Interpretation objects); on sparse-tier alphabets the cubes
+    expand into the :class:`~repro.logic.sparse.SparseModelSet` column
+    blocks themselves, so the carrier the selection rules run on is built
+    in one pass and the mask frozenset never materialises.
     """
     with _obs.span(
         "sat.enumerate", letters=len(bit_alphabet.letters)
@@ -408,7 +392,7 @@ def _enumerated_bit_models(
 
 
 #: The per-enumeration CDCL activity reported on ``sat.enumerate`` spans
-#: (deltas of the ``allsat.*`` counters across the call, workers included).
+#: (deltas of the ``allsat.*`` counters across the call).
 _ENUM_DELTA_KEYS = (
     "cubes",
     "models",
@@ -425,32 +409,21 @@ def _enumerated_bit_models_impl(
 ) -> BitModelSet:
     encoding = _encode([formula])
     projection, bit_of = _projection_bits(encoding, bit_alphabet)
-    if _allsat.enabled():
-        cubes = list(_allsat.enumerate_cubes(encoding.instance, projection))
-        if (
-            _shards.tier(len(bit_alphabet)) == "masks"
-            and _shards.SPARSE_TIER
-        ):
-            # Past every bitplane cutoff the sparse carrier is the target
-            # representation: emit the cubes straight into it.
-            try:
-                carrier = SparseModelSet.from_cubes(
-                    bit_alphabet,
-                    (cube.mask_pair(bit_of) for cube in cubes),
-                )
-                return BitModelSet.from_sparse(bit_alphabet, carrier)
-            except SparseSpill:
-                # Denser than the sparse budget: fall through to the
-                # plain mask set, re-expanding the cubes already in hand
-                # (the solver does not run again).
-                pass
-        return BitModelSet(
-            bit_alphabet, _allsat.cube_masks(cubes, bit_of)
-        )
-    return _wrap_enumerated_masks(
-        bit_alphabet,
-        list(_blocking_mask_stream(encoding.instance, projection, bit_of)),
-    )
+    cubes = list(_allsat.enumerate_cubes(encoding.instance, projection))
+    if _shards.tier(len(bit_alphabet)) == "masks" and _shards.SPARSE_TIER:
+        # Past every bitplane cutoff the sparse carrier is the target
+        # representation: emit the cubes straight into it.
+        try:
+            carrier = SparseModelSet.from_cubes(
+                bit_alphabet, (cube.mask_pair(bit_of) for cube in cubes)
+            )
+            return BitModelSet.from_sparse(bit_alphabet, carrier)
+        except SparseSpill:
+            # Denser than the sparse budget: fall through to the plain
+            # mask set, re-expanding the cubes already in hand (the
+            # solver does not run again).
+            pass
+    return BitModelSet(bit_alphabet, _allsat.cube_masks(cubes, bit_of))
 
 
 def count_models(
@@ -464,8 +437,7 @@ def count_models(
     popcount, and the SAT tier sums ``2^k`` over the incremental
     enumerator's cubes (:func:`repro.sat.allsat.count_models`) — this is
     what keeps the :func:`model_count_bound` dispatch probe cheap at
-    40-letter alphabets.  ``REPRO_ALLSAT=0`` falls back to counting the
-    blocking-clause stream.  A non-positive ``limit`` is 0 on every tier.
+    40-letter alphabets.  A non-positive ``limit`` is 0 on every tier.
     """
     if limit is not None and limit <= 0:
         return 0
@@ -491,17 +463,10 @@ def count_models(
             _runtime.record_demotion("sharded", "masks")
     encoding = _encode([formula])
     projection = [encoding.var(name) for name in names]
-    if _allsat.enabled():
-        with _obs.span(
-            "sat.count", letters=len(names)
-        ) as count_span:
-            count = _allsat.count_models(encoding.instance, projection, limit)
-            count_span.set("count", count)
-            return count
-    total = 0
-    for _ in enumerate_models_blocking(encoding.instance, projection, limit):
-        total += 1
-    return total
+    with _obs.span("sat.count", letters=len(names)) as count_span:
+        count = _allsat.count_models(encoding.instance, projection, limit)
+        count_span.set("count", count)
+        return count
 
 
 def _literal_name(node: Formula) -> Optional[str]:
@@ -672,16 +637,12 @@ def _incremental_bit_models_impl(
     encoding = _encode([formula])
     old_root = encoding.add_formula_unasserted(previous_formula)
     projection, bit_of = _projection_bits(encoding, bit_alphabet)
-    if _allsat.enabled():
-        delta = _allsat.cube_masks(
-            _allsat.enumerate_cubes(
-                encoding.instance, projection, assumptions=[-old_root]
-            ),
-            bit_of,
-        )
-    else:
-        encoding.instance.add_clause([-old_root])
-        delta = _blocking_mask_stream(encoding.instance, projection, bit_of)
+    delta = _allsat.cube_masks(
+        _allsat.enumerate_cubes(
+            encoding.instance, projection, assumptions=[-old_root]
+        ),
+        bit_of,
+    )
     kept = list(kept)
     count = len(kept)
     kept.extend(delta)

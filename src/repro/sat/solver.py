@@ -6,15 +6,14 @@ Features:
 
 * two-watched-literal unit propagation (the watched pair lives in
   solver-owned side arrays, never inside the clause lists — so clause
-  lists are immutable and shared, see below),
+  lists are immutable and shared, see below); binary clauses, the bulk
+  of a Tseitin encoding, sit on per-literal implication lists instead
+  and propagate without any watch bookkeeping,
 * **CDCL**: first-UIP conflict analysis with clause learning and
-  non-chronological backjumping (``REPRO_CDCL=0`` restores the plain
-  chronological DPLL for A/B parity runs),
+  non-chronological backjumping,
 * MiniSat-style VSIDS branching — bump every variable the conflict
   analysis touches by a growing increment and rescale, which is the
-  exponential-decay scheme ``dpll2.py`` in SNIPPETS.md sketches (the
-  ``REPRO_CDCL=0`` path keeps the original light variant: bump the
-  conflicting clause, decay periodically),
+  exponential-decay scheme ``dpll2.py`` in SNIPPETS.md sketches,
 * Luby-sequence restarts, *automatically disabled while the solver is
   mid-enumeration* (see below) so the resumable AllSAT stream stays
   duplicate-free,
@@ -67,7 +66,6 @@ paper: every entailment test ``T * P |= Q``, consistency check inside
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import runtime as _runtime
@@ -80,15 +78,6 @@ RESTART_BASE = 128
 #: Initial learned-clause budget before a database reduction; grows by
 #: half after every reduction.  Module attribute for the same reason.
 LEARNED_BASE = 2000
-
-
-def cdcl_enabled() -> bool:
-    """Whether clause learning is live (env ``REPRO_CDCL``, default on).
-
-    Read at :class:`Solver` construction — like ``REPRO_ALLSAT`` it can be
-    flipped in-process between solver instances for A/B parity runs.
-    """
-    return os.environ.get("REPRO_CDCL", "1") != "0"
 
 
 def _luby(index: int) -> int:
@@ -172,11 +161,14 @@ class Solver:
         self._trail_lim: List[int] = []
         self._activity: List[float] = [0.0] * (self.num_vars + 1)
         self._watches: Dict[int, List[int]] = {}
+        # Binary clauses skip the watch scheme: ``_binary[lit]`` lists
+        # ``(implied literal, clause index)`` for every binary clause
+        # that ``lit`` being true makes unit.
+        self._binary: Dict[int, List[Tuple[int, int]]] = {}
         self._conflicts = 0
         # CDCL state: learned-clause metadata ([lbd, activity] per
         # reducible clause index), VSIDS/clause-activity increments,
         # restart schedule, and observability counters.
-        self._cdcl = cdcl_enabled()
         self._learned_info: Dict[int, List[float]] = {}
         self._learned_units: Set[int] = set()
         self._max_learned = LEARNED_BASE
@@ -216,10 +208,17 @@ class Solver:
         if len(clause) == 1:
             self._units.append(clause[0])
             return
+        if len(clause) == 2:
+            self._watch_binary(index, clause[0], clause[1])
+            return
         pair = [clause[0], clause[1]]
         self._watch_pair[index] = pair
         for lit in pair:
             self._watches.setdefault(-lit, []).append(index)
+
+    def _watch_binary(self, index: int, first: int, second: int) -> None:
+        self._binary.setdefault(-first, []).append((second, index))
+        self._binary.setdefault(-second, []).append((first, index))
 
     def add_clause(self, clause: Iterable[int]) -> None:
         """Add a clause incrementally (solver must be at decision level 0)."""
@@ -341,47 +340,69 @@ class Solver:
         clauses = self.clauses
         watch_pair = self._watch_pair
         watches = self._watches
+        binary = self._binary
+        level = len(self._trail_lim)
+        level_of = self._level
+        reason_of = self._reason
         head = queue_start
         while head < len(trail):
             lit = trail[head]
             head += 1
+            for other, clause_index in binary.get(lit, ()):
+                other_var = other if other > 0 else -other
+                other_value = assign[other_var]
+                if other_value < 0:
+                    assign[other_var] = 1 if other > 0 else 0
+                    level_of[other_var] = level
+                    reason_of[other_var] = clause_index
+                    trail.append(other)
+                elif (other_value == 1) != (other > 0):
+                    self._stat_propagations += head - queue_start
+                    return clause_index
             watch_list = watches.get(lit)
             if not watch_list:
                 continue
+            falsified = -lit
             keep: List[int] = []
+            keep_append = keep.append
             conflict: Optional[int] = None
-            position = 0
-            while position < len(watch_list):
-                clause_index = watch_list[position]
-                position += 1
+            for position, clause_index in enumerate(watch_list):
                 pair = watch_pair[clause_index]
                 # pair holds the two watched literals; -lit is falsified.
-                if pair[0] == -lit:
+                if pair[0] == falsified:
                     slot, other = 0, pair[1]
                 else:
                     slot, other = 1, pair[0]
-                # Inline of _value(other) == 1 — this loop is the hottest
-                # code in the solver, and the call overhead dominates it.
-                value = assign[other if other > 0 else -other]
-                if value >= 0 and (value == 1) == (other > 0):
-                    keep.append(clause_index)
+                # Inline of _value(other) — this loop is the hottest code
+                # in the solver, and the call overhead dominates it.
+                other_var = other if other > 0 else -other
+                other_value = assign[other_var]
+                if other_value >= 0 and (other_value == 1) == (other > 0):
+                    keep_append(clause_index)
                     continue
-                moved = False
+                # Look for a non-false replacement watch.
                 for alt in clauses[clause_index]:
-                    if alt != other and alt != -lit:
+                    if alt != other and alt != falsified:
                         value = assign[alt if alt > 0 else -alt]
                         if value < 0 or (value == 1) == (alt > 0):
-                            pair[slot] = alt
-                            watches.setdefault(-alt, []).append(clause_index)
-                            moved = True
                             break
-                if moved:
+                else:
+                    alt = 0
+                if alt:
+                    pair[slot] = alt
+                    watches.setdefault(-alt, []).append(clause_index)
                     continue
-                keep.append(clause_index)
-                if not self._enqueue(other, clause_index):
+                keep_append(clause_index)
+                if other_value >= 0:
+                    # ``other`` is false too: the clause is falsified.
                     conflict = clause_index
-                    keep.extend(watch_list[position:])
+                    keep.extend(watch_list[position + 1:])
                     break
+                # Unit: inline of _enqueue(other, clause_index).
+                assign[other_var] = 1 if other > 0 else 0
+                level_of[other_var] = level
+                reason_of[other_var] = clause_index
+                trail.append(other)
             watch_list[:] = keep
             if conflict is not None:
                 self._stat_propagations += head - queue_start
@@ -401,13 +422,6 @@ class Solver:
         del self._trail_lim[level:]
 
     # -- branching heuristic -----------------------------------------------------
-
-    def _bump_clause(self, clause: Sequence[int]) -> None:
-        for lit in clause:
-            self._activity[abs(lit)] += 1.0
-
-    def _decay(self) -> None:
-        self._activity = [a * 0.9 for a in self._activity]
 
     def _bump_var(self, var: int) -> None:
         """MiniSat VSIDS: growing increment, rescale near overflow."""
@@ -572,11 +586,15 @@ class Solver:
                 best, best_level = position, lvl
         clause[1], clause[best] = clause[best], clause[1]
         self.clauses.append(clause)
+        self._learned_info[index] = [lbd, self._cla_inc]
+        if len(clause) == 2:
+            self._watch_pair.append(None)
+            self._watch_binary(index, clause[0], clause[1])
+            return index
         pair = [clause[0], clause[1]]
         self._watch_pair.append(pair)
         self._watches.setdefault(-clause[0], []).append(index)
         self._watches.setdefault(-clause[1], []).append(index)
-        self._learned_info[index] = [lbd, self._cla_inc]
         return index
 
     def _reduce_learned(self) -> None:
@@ -612,15 +630,9 @@ class Solver:
         level — clamped to the enumeration floor so flipped decisions
         guarding emitted models survive — and assert the UIP.  Conflicts
         at or below the floor, and degenerate analyses, fall back to the
-        chronological flip (the ``REPRO_CDCL=0`` behaviour, which is also
-        the entire strategy of the legacy path).
+        chronological flip.
         """
         self._conflicts += 1
-        if not self._cdcl:
-            self._bump_clause(self.clauses[conflict_index])
-            if self._conflicts % 256 == 0:
-                self._decay()
-            return self._flip_last_decision()
         self._conflicts_since_restart += 1
         floor = self._enum_floor()
         current = len(self._trail_lim)
@@ -698,9 +710,9 @@ class Solver:
         The shared engine behind :meth:`solve` (fresh search) and
         :meth:`next_model` (resumed search): propagate, resolve conflicts
         through :meth:`_handle_conflict` (first-UIP backjumping, or the
-        chronological flip under ``REPRO_CDCL=0`` / at the enumeration
-        floor), restart on the Luby schedule when no flipped decision is
-        live, branch when propagation settles.  Returns ``True`` with the
+        chronological flip at the enumeration floor), restart on the Luby
+        schedule when no flipped decision is live, branch when propagation
+        settles.  Returns ``True`` with the
         trail at the model, or ``False`` (solver reset to level 0) when
         the remaining search space under the assumptions is exhausted.
 
@@ -746,8 +758,7 @@ class Solver:
                     # plain _search(len(self._trail)).
                     budget.checkpoint()
             if (
-                self._cdcl
-                and self._conflicts_since_restart >= self._restart_limit
+                self._conflicts_since_restart >= self._restart_limit
                 and len(self._trail_lim) > 1
                 and self._enum_floor() == 1
             ):

@@ -5,19 +5,15 @@ enumerate_models_blocking` is the independent reference implementation —
 restart-per-model, no shared machinery with the resumable search — so the
 hypothesis suites here pit the incremental enumerator against it across
 random CNFs, projection subsets (including variables outside every clause
-and empty projections), limits, and all four combinations of cube
-generalization × component splitting.  On top: the direct-to-mask
-emission path, cube counting, the incremental-carrier compile of
-:class:`repro.revision.batch.BatchCache`, and the live ``REPRO_ALLSAT``
-knob.
+and empty projections) and limits.  On top: the direct-to-mask emission
+path, cube counting, component splitting, and the incremental-carrier
+compile of :class:`repro.revision.batch.BatchCache`.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.logic import parse
+from repro.logic import all_interpretations, parse
 from repro.logic.bitmodels import BitAlphabet
 from repro.logic.formula import Var, big_and, big_or, lnot
 from repro.logic.sparse import SparseModelSet
@@ -28,11 +24,11 @@ from repro.sat import (
     count_cnf_models,
     count_models,
     enumerate_cubes,
-    enumerate_models,
     enumerate_models_blocking,
     incremental_bit_models,
     models,
 )
+from repro.sat.interface import _Encoding
 
 
 @st.composite
@@ -72,14 +68,6 @@ def cnf_instances(draw):
     return instance, projection, limit
 
 
-@pytest.fixture
-def knobs():
-    """Restore the generalization/splitting knobs after each test."""
-    saved = (allsat.CUBES, allsat.COMPONENTS)
-    yield
-    allsat.CUBES, allsat.COMPONENTS = saved
-
-
 class TestEnumeratorParity:
     @settings(max_examples=300, deadline=None)
     @given(cnf_instances())
@@ -91,25 +79,16 @@ class TestEnumeratorParity:
             if limit is not None
             else reference
         )
-        saved = (allsat.CUBES, allsat.COMPONENTS)
-        try:
-            for generalize in (True, False):
-                for split in (True, False):
-                    allsat.CUBES, allsat.COMPONENTS = generalize, split
-                    produced = list(
-                        allsat.enumerate_models(instance, projection, limit)
-                    )
-                    found = set(produced)
-                    # No duplicates, ever.
-                    assert len(produced) == len(found)
-                    if limit is None:
-                        assert found == reference
-                    else:
-                        # Any `limit` distinct models of the full set.
-                        assert found <= full
-                        assert len(found) == min(len(full), limit)
-        finally:
-            allsat.CUBES, allsat.COMPONENTS = saved
+        produced = list(allsat.enumerate_models(instance, projection, limit))
+        found = set(produced)
+        # No duplicates, ever.
+        assert len(produced) == len(found)
+        if limit is None:
+            assert found == reference
+        else:
+            # Any `limit` distinct models of the full set.
+            assert found <= full
+            assert len(found) == min(len(full), limit)
 
     @settings(max_examples=150, deadline=None)
     @given(cnf_instances())
@@ -117,6 +96,7 @@ class TestEnumeratorParity:
         instance, projection, limit = case
         full = len(set(enumerate_models_blocking(instance, projection, None)))
         assert allsat.count_models(instance, projection) == full
+        assert count_cnf_models(instance, projection) == full
         if limit is not None:
             assert allsat.count_models(instance, projection, limit) == min(
                 full, limit
@@ -164,52 +144,26 @@ class TestEnumeratorParity:
             (1, -2, -3), (1, -2, 3), (1, 2, -3), (1, 2, 3),
         }
 
-    def test_component_splitting_is_additive(self, knobs):
-        # Two independent constraints: 3 x 3 models from 3 + 3 solves.
+    def test_component_splitting_is_additive(self):
+        # Two independent constraints, 3 models each: the split path
+        # enumerates each component once (two cubes, two solver resumes
+        # apiece) and emits the 3 x 3 = 9 models as the cross-product of
+        # the 2 x 2 component cubes — m1 + m2 resumes, not m1 * m2.
         instance = CnfInstance(4)
         instance.add_clause([1, 2])
         instance.add_clause([3, 4])
-        before = allsat.STATS["resumes"]
-        allsat.CUBES = False  # count raw solver models, no generalization
-        allsat.COMPONENTS = True  # regardless of the ambient env knob
-        found = set(allsat.enumerate_models(instance))
-        split_resumes = allsat.STATS["resumes"] - before
+        before = dict(allsat.STATS)
+        cubes = list(enumerate_cubes(instance))
+        assert allsat.STATS["components"] - before["components"] == 2
+        assert allsat.STATS["resumes"] - before["resumes"] == 4
+        assert len(cubes) == 4
+        found = {model for cube in cubes for model in cube.iter_models()}
         assert len(found) == 9
         assert found == set(enumerate_models_blocking(instance))
-        allsat.COMPONENTS = False
-        before = allsat.STATS["resumes"]
-        assert set(allsat.enumerate_models(instance)) == found
-        joint_resumes = allsat.STATS["resumes"] - before
-        assert split_resumes < joint_resumes  # m1 + m2 vs m1 * m2 solves
-
-    def test_stats_counters_move(self):
-        instance = CnfInstance(2)
-        instance.add_clause([1, 2])
-        before = dict(allsat.STATS)
-        list(allsat.enumerate_models(instance))
-        assert allsat.STATS["enumerations"] > before["enumerations"]
-        assert allsat.STATS["models"] >= before["models"] + 3
-
-
-class TestKnobParity:
-    """The live ``REPRO_ALLSAT`` knob keeps the old loop reachable."""
-
-    def test_dispatch_follows_the_env(self, monkeypatch):
-        instance = CnfInstance(2)
-        instance.add_clause([1, 2])
-        expected = set(enumerate_models_blocking(instance))
-        monkeypatch.setenv("REPRO_ALLSAT", "0")
-        before = allsat.STATS["enumerations"]
-        assert set(enumerate_models(instance)) == expected
-        assert count_cnf_models(instance) == 3
-        assert allsat.STATS["enumerations"] == before  # old loop served
-        monkeypatch.delenv("REPRO_ALLSAT")
-        assert set(enumerate_models(instance)) == expected
-        assert allsat.STATS["enumerations"] > before
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2_000))
-    def test_formula_paths_identical_with_allsat_off(self, seed):
+    def test_formula_paths_match_brute_force_projection(self, seed):
         import sys
         from pathlib import Path
 
@@ -218,20 +172,28 @@ class TestKnobParity:
         )
         from _util import random_tp_pair
 
-        t, p = random_tp_pair(seed, ["a", "b", "c", "d", "e"])
-        # Force the SAT path by projecting onto a sub-alphabet (extra
-        # letters keep the table tiers out).
+        t, _ = random_tp_pair(seed, ["a", "b", "c", "d", "e"])
+        # Projecting onto a sub-alphabet forces the SAT tier: only the
+        # solver can quantify the extra letters away.
         alphabet = ["a", "b", "c"]
-        on = set(models(t, alphabet))
-        on_bits = bit_models(t, alphabet)
-        on_count = count_models(t, alphabet)
-        os.environ["REPRO_ALLSAT"] = "0"
-        try:
-            assert set(models(t, alphabet)) == on
-            assert bit_models(t, alphabet).masks == on_bits.masks
-            assert count_models(t, alphabet) == on_count
-        finally:
-            del os.environ["REPRO_ALLSAT"]
+        letters = sorted(t.variables() | set(alphabet))
+        expected = {
+            frozenset(model) & frozenset(alphabet)
+            for model in all_interpretations(letters)
+            if t.evaluate(model)
+        }
+        assert set(models(t, alphabet)) == expected
+        bits = bit_models(t, alphabet)
+        assert {bits.alphabet.set_of(mask) for mask in bits.masks} == expected
+        assert count_models(t, alphabet) == len(expected)
+
+    def test_stats_counters_move(self):
+        instance = CnfInstance(2)
+        instance.add_clause([1, 2])
+        before = dict(allsat.STATS)
+        list(allsat.enumerate_models(instance))
+        assert allsat.STATS["enumerations"] > before["enumerations"]
+        assert allsat.STATS["models"] >= before["models"] + 3
 
 
 class TestDirectToMask:
@@ -300,19 +262,28 @@ class TestIncrementalCarrier:
         assert incremental.masks == fresh.masks
 
     def test_parity_with_allsat_off(self):
+        """The incremental carrier reproduces the blocking-clause loop's
+        model set — the reference that runs with the enumerator off."""
         alphabet = BitAlphabet.coerce(self.LETTERS)
         old_formula = self._formula(11)
         new_formula = self._formula(12)
         old_bits = bit_models(old_formula, alphabet)
-        fresh = bit_models(new_formula, alphabet)
-        os.environ["REPRO_ALLSAT"] = "0"
-        try:
-            incremental = incremental_bit_models(
-                new_formula, alphabet, old_formula, old_bits
-            )
-        finally:
-            del os.environ["REPRO_ALLSAT"]
-        assert incremental.masks == fresh.masks
+        incremental = incremental_bit_models(
+            new_formula, alphabet, old_formula, old_bits
+        )
+        encoding = _Encoding()
+        encoding.add_formula(new_formula)
+        projection = [encoding.var(name) for name in alphabet.letters]
+        reference = set()
+        for projected in enumerate_models_blocking(
+            encoding.instance, projection
+        ):
+            mask = 0
+            for lit in projected:
+                if lit > 0:
+                    mask |= 1 << alphabet.bit(encoding.name_of[lit])
+            reference.add(mask)
+        assert set(incremental.masks) == reference
 
     def test_restriction_stream_enumerates_no_delta(self):
         # P2 = P1 ∧ extra: every model survives the re-check, the delta

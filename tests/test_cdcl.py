@@ -1,19 +1,19 @@
-"""The CDCL solver core: A/B parity, resume soundness, and observability.
+"""The CDCL solver core: soundness, resume, and observability.
 
-PR 6 swapped the chronological DPLL inside :class:`repro.sat.solver.Solver`
-for clause learning with first-UIP analysis, VSIDS branching, Luby restarts
-and learned-clause DB reduction — all while keeping the PR 5 enumeration
-contract (``next_model`` resume, assumptions, projected cubes).  The suites
-here pit the two modes against each other and against the blocking-clause
-reference loop: ``REPRO_CDCL=0`` restores the chronological search exactly,
-so any model-set difference between the modes is a learning-soundness bug.
-Also covered: forced restarts/DB reduction on tiny instances (via the
-module constants), worker-count determinism of the parallel cube fan-out,
-the incremental-carrier path with learning on, the clause-heavy workload
-generator's ground-truth masks, and the carrier LRU of the batch cache.
+:class:`repro.sat.solver.Solver` runs clause learning with first-UIP
+analysis, VSIDS branching, Luby restarts and learned-clause DB reduction
+under the enumeration contract (``next_model`` resume, assumptions,
+projected cubes).  The suites here pit the learning enumerator against a
+brute-force truth table over every assignment (at most 7 variables, so
+the oracle shares no code with the solver) and against the
+blocking-clause reference loop: any model-set difference is a
+learning-soundness bug.  Also covered: forced restarts/DB reduction on
+tiny instances (via the module constants), the incremental-carrier path
+with learning on, the clause-heavy workload generator's ground-truth
+masks, and the carrier LRU of the batch cache.
 """
 
-import os
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,12 +87,10 @@ def _copy(instance: CnfInstance) -> CnfInstance:
     return fresh
 
 
-def _enumerate(instance, projection, limit, assumptions, monkeypatch, cdcl):
-    monkeypatch.setenv("REPRO_CDCL", "1" if cdcl else "0")
+def _enumerate(instance, projection, limit, assumptions):
     produced = []
-    for cube in enumerate_cubes(
-        _copy(instance), projection, limit, assumptions, parallel=False
-    ):
+    cubes = enumerate_cubes(_copy(instance), projection, limit, assumptions)
+    for cube in cubes:
         produced.extend(cube.iter_models())
     if limit is not None:
         # The final cube may overshoot the limit; expansion applies the
@@ -101,53 +99,57 @@ def _enumerate(instance, projection, limit, assumptions, monkeypatch, cdcl):
     return produced
 
 
+def _brute_force(instance, projection, assumptions):
+    """Projected models by evaluating every total assignment."""
+    variables = range(1, instance.num_vars + 1)
+    proj_vars = (
+        list(variables) if projection is None else sorted(set(projection))
+    )
+    found = set()
+    for bits in itertools.product((False, True), repeat=instance.num_vars):
+        value = dict(zip(variables, bits))
+
+        def holds(lit):
+            return value[abs(lit)] == (lit > 0)
+
+        if all(holds(lit) for lit in assumptions) and all(
+            any(holds(lit) for lit in clause) for clause in instance.clauses
+        ):
+            found.add(
+                tuple(var if value[var] else -var for var in proj_vars)
+            )
+    return found
+
+
+def _assert_covers(produced, truth, limit):
+    assert len(produced) == len(set(produced))
+    if limit is None:
+        assert set(produced) == truth
+    else:
+        # Any `limit` distinct models of the full set.
+        assert set(produced) <= truth
+        assert len(produced) == min(len(truth), limit)
+
+
 class TestModeParity:
-    """REPRO_CDCL on/off cover the same projected model sets."""
+    """The learning enumerator covers exactly the brute-force model set."""
 
     @settings(max_examples=200, deadline=None)
     @given(cnf_instances())
-    def test_cdcl_matches_chronological(self, case):
+    def test_cdcl_matches_brute_force(self, case):
         instance, projection, limit, assumptions = case
-        monkeypatch = pytest.MonkeyPatch()
-        try:
-            learned = _enumerate(
-                instance, projection, limit, assumptions, monkeypatch, True
-            )
-            chrono = _enumerate(
-                instance, projection, limit, assumptions, monkeypatch, False
-            )
-        finally:
-            monkeypatch.undo()
-        assert len(learned) == len(set(learned))
-        assert len(chrono) == len(set(chrono))
-        if limit is None:
-            assert set(learned) == set(chrono)
-        else:
-            # Under a limit both modes return `limit` distinct models of
-            # the same full set (which ones may differ: search order is a
-            # mode property, coverage is not).
-            assert len(learned) == len(chrono)
+        produced = _enumerate(instance, projection, limit, assumptions)
+        truth = _brute_force(instance, projection, assumptions)
+        _assert_covers(produced, truth, limit)
 
     @settings(max_examples=150, deadline=None)
     @given(cnf_instances())
     def test_resume_stream_matches_blocking_loop(self, case):
         """`next_model` resume after learning loses and repeats nothing."""
         instance, projection, limit, _ = case
-        monkeypatch = pytest.MonkeyPatch()
-        try:
-            monkeypatch.setenv("REPRO_CDCL", "1")
-            produced = _enumerate(
-                instance, projection, limit, (), monkeypatch, True
-            )
-        finally:
-            monkeypatch.undo()
+        produced = _enumerate(instance, projection, limit, ())
         reference = set(enumerate_models_blocking(_copy(instance), projection))
-        assert len(produced) == len(set(produced))
-        if limit is None:
-            assert set(produced) == reference
-        else:
-            assert set(produced) <= reference
-            assert len(produced) == min(len(reference), limit)
+        _assert_covers(produced, reference, limit)
 
     @settings(max_examples=60, deadline=None)
     @given(cnf_instances())
@@ -157,26 +159,17 @@ class TestModeParity:
         instance, projection, limit, assumptions = case
         monkeypatch = pytest.MonkeyPatch()
         try:
-            reference = _enumerate(
-                instance, projection, limit, assumptions, monkeypatch, False
-            )
             monkeypatch.setattr(solver_mod, "RESTART_BASE", 1)
             monkeypatch.setattr(solver_mod, "LEARNED_BASE", 1)
-            stressed = _enumerate(
-                instance, projection, limit, assumptions, monkeypatch, True
-            )
+            stressed = _enumerate(instance, projection, limit, assumptions)
         finally:
             monkeypatch.undo()
-        assert len(stressed) == len(set(stressed))
-        if limit is None:
-            assert set(stressed) == set(reference)
-        else:
-            assert len(stressed) == len(reference)
+        truth = _brute_force(instance, projection, assumptions)
+        _assert_covers(stressed, truth, limit)
 
 
 class TestObservability:
-    def test_conflict_counters_fire_on_refutation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CDCL", "1")
+    def test_conflict_counters_fire_on_refutation(self):
         # Pigeonhole-ish: 3 pigeons, 2 holes — var p*2+h.
         instance = CnfInstance(6)
         for p in range(3):
@@ -191,8 +184,7 @@ class TestObservability:
         assert stats["conflicts"] > 0
         assert stats["learned"] > 0
 
-    def test_allsat_stats_accumulate_solver_counters(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CDCL", "1")
+    def test_allsat_stats_accumulate_solver_counters(self):
         for key in ("conflicts", "learned", "restarts", "max_backjump"):
             assert key in allsat.STATS
         instance = CnfInstance(8)
@@ -200,11 +192,10 @@ class TestObservability:
             instance.add_clause([i, i + 1])
             instance.add_clause([-i, -(i + 2) if i + 2 <= 8 else i + 1])
         before = allsat.STATS["conflicts"]
-        list(enumerate_cubes(instance, parallel=False))
+        list(enumerate_cubes(instance))
         assert allsat.STATS["conflicts"] >= before
 
     def test_restarts_fire_under_forced_schedule(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CDCL", "1")
         monkeypatch.setattr(solver_mod, "RESTART_BASE", 1)
         wl = clause_family.build(8, 4, 4, seed=3, noise_per_letter=2.0)
         enc = _Encoding()
@@ -214,48 +205,6 @@ class TestObservability:
         # Restart accounting is visible even when enumeration later gates
         # restarts off: plain solve() may restart freely.
         assert solver.search_stats()["restarts"] >= 0
-
-
-class TestParallelDeterminism:
-    def _instance(self):
-        wl = clause_family.build(9, 6, 6, seed=5, noise_per_letter=2.0)
-        enc = _Encoding()
-        enc.add_formula(wl.t_formula)
-        projection = sorted(enc.var(name) for name in wl.letters)
-        return enc.instance, projection, wl
-
-    def test_masks_identical_for_any_worker_count(self, monkeypatch):
-        instance, projection, wl = self._instance()
-        letters = sorted(wl.letters)
-        enc_bit = {}
-        # projection vars were allocated in sorted-letter order scan
-        fresh = _Encoding()
-        fresh.add_formula(wl.t_formula)
-        bit_of = {fresh.var(name): bit for bit, name in enumerate(letters)}
-        monkeypatch.setattr(allsat, "PARALLEL_SPLIT_MIN_VARS", 2)
-        results = {}
-        for workers in ("1", "2", "3"):
-            monkeypatch.setenv("REPRO_PARALLEL", workers)
-            cubes = list(
-                enumerate_cubes(_copy(instance), projection, parallel=True)
-            )
-            results[workers] = tuple(
-                sorted(allsat.cube_masks(cubes, bit_of))
-            )
-        assert results["1"] == results["2"] == results["3"]
-        assert results["1"] == wl.t_masks
-
-    def test_serial_and_parallel_cover_the_same_models(self, monkeypatch):
-        instance, projection, _ = self._instance()
-        monkeypatch.setattr(allsat, "PARALLEL_SPLIT_MIN_VARS", 2)
-        monkeypatch.setenv("REPRO_PARALLEL", "2")
-        serial = []
-        for cube in enumerate_cubes(_copy(instance), projection, parallel=False):
-            serial.extend(cube.iter_models())
-        fanned = []
-        for cube in enumerate_cubes(_copy(instance), projection, parallel=True):
-            fanned.extend(cube.iter_models())
-        assert sorted(serial) == sorted(fanned)
 
 
 class TestIncrementalCarrierWithLearning:
@@ -268,7 +217,6 @@ class TestIncrementalCarrierWithLearning:
         return big_and(lits), BitAlphabet.coerce(names)
 
     def test_delta_compile_matches_fresh_under_learning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CDCL", "1")
         monkeypatch.setattr(solver_mod, "RESTART_BASE", 1)
         monkeypatch.setattr(solver_mod, "LEARNED_BASE", 1)
         old_formula, alphabet = self._formula(0)
@@ -305,21 +253,15 @@ class TestClauseFamily:
         assert a.clause_counts == b.clause_counts
         assert a.t_formula == b.t_formula
 
-    def test_enumeration_agrees_with_ground_truth_both_modes(
-        self, monkeypatch
-    ):
+    def test_enumeration_agrees_with_ground_truth(self):
         wl = clause_family.build(10, 8, 8, seed=4, noise_per_letter=2.0)
         letters = sorted(wl.letters)
-        for cdcl in ("0", "1"):
-            monkeypatch.setenv("REPRO_CDCL", cdcl)
-            enc = _Encoding()
-            enc.add_formula(wl.t_formula)
-            projection = {enc.var(name) for name in letters}
-            bit_of = {enc.var(name): bit for bit, name in enumerate(letters)}
-            cubes = list(
-                enumerate_cubes(enc.instance, sorted(projection), parallel=False)
-            )
-            assert tuple(sorted(allsat.cube_masks(cubes, bit_of))) == wl.t_masks
+        enc = _Encoding()
+        enc.add_formula(wl.t_formula)
+        projection = sorted(enc.var(name) for name in letters)
+        bit_of = {enc.var(name): bit for bit, name in enumerate(letters)}
+        cubes = list(enumerate_cubes(enc.instance, projection))
+        assert tuple(sorted(allsat.cube_masks(cubes, bit_of))) == wl.t_masks
 
     def test_rejects_alphabets_too_small_for_selectors(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,7 @@ The robustness contract of :mod:`repro.runtime`, asserted end to end:
 * the hypothesis interrupt/resume suite — a deadline, cancellation or
   budget raise mid-:class:`repro.sat.allsat.CubeStream` leaves the
   solver resumable, and the completed stream is exactly the
-  uninterrupted one (duplicate-free and lossless), with clause learning
-  on and off (``REPRO_CDCL``);
+  uninterrupted one (duplicate-free and lossless);
 * the deterministic fault registry (``REPRO_FAULTS``) and the
   crash-tolerant pool — masks stay bit-identical for every injected
   worker-crash pattern, and compile OOMs demote one tier down with the
@@ -17,7 +16,8 @@ The robustness contract of :mod:`repro.runtime`, asserted end to end:
 """
 
 import contextlib
-import os
+import multiprocessing
+import random
 import time
 
 import pytest
@@ -248,6 +248,63 @@ class TestPools:
             rpool.map_threads(_boom, [1, 2, 3], workers=2)
 
 
+def _forty_letter_int_selection():
+    """A 40-letter pure-int sparse Winslett selection over 2 workers."""
+    rng = random.Random(40)
+    alphabet = BitAlphabet([f"x{i:02d}" for i in range(40)])
+    p_set = sparse.SparseModelSet.from_masks(
+        alphabet, [rng.getrandbits(40) for _ in range(48)], backend="int"
+    )
+    t_masks = [rng.getrandbits(40) for _ in range(8)]
+    return sparse.pointwise_select("minimal", p_set, t_masks, processes=2)
+
+
+def _select_in_child(conn):
+    try:
+        conn.send(("ok", _forty_letter_int_selection().mask_list()))
+    except BaseException as exc:  # shipped to the parent for the assert
+        conn.send(("error", f"{type(exc).__name__}: {exc}"))
+    finally:
+        conn.close()
+
+
+def _report_allows_fanout(conn):
+    conn.send(runtime.allows_fanout())
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+class TestDaemonicFanout:
+    """A daemonic process may not have children: fan-out stays serial."""
+
+    def _run(self, target, daemon):
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=target, args=(sender,), daemon=daemon)
+        child.start()
+        sender.close()
+        assert receiver.poll(60), "child sent no outcome"
+        outcome = receiver.recv()
+        child.join(30)
+        assert not child.is_alive()
+        return outcome
+
+    def test_allows_fanout_is_false_in_daemon(self):
+        assert runtime.allows_fanout()
+        assert self._run(_report_allows_fanout, daemon=False) is True
+        assert self._run(_report_allows_fanout, daemon=True) is False
+
+    @pytest.mark.parametrize("daemon", [False, True])
+    def test_pure_int_selection_inside_process(self, daemon):
+        expected = _forty_letter_int_selection().mask_list()
+        status, payload = self._run(_select_in_child, daemon)
+        assert status == "ok", payload
+        assert payload == expected
+
+
 # ---------------------------------------------------------------------------
 # Interrupt/resume: the CubeStream contract
 # ---------------------------------------------------------------------------
@@ -311,22 +368,13 @@ def _drain_with_interrupts(stream, mode):
 
 class TestInterruptResume:
     @settings(max_examples=120, deadline=None)
-    @given(cnf_cases(), st.sampled_from(["cancel", "models"]),
-           st.booleans())
+    @given(cnf_cases(), st.sampled_from(["cancel", "models"]))
     def test_interrupted_stream_is_lossless_and_duplicate_free(
-        self, instance, mode, cdcl
+        self, instance, mode
     ):
         reference = set(enumerate_models_blocking(instance, None))
-        saved = os.environ.get("REPRO_CDCL")
-        try:
-            os.environ["REPRO_CDCL"] = "1" if cdcl else "0"
-            with checkpoint_interval(1):
-                cubes = _drain_with_interrupts(CubeStream(instance), mode)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_CDCL", None)
-            else:
-                os.environ["REPRO_CDCL"] = saved
+        with checkpoint_interval(1):
+            cubes = _drain_with_interrupts(CubeStream(instance), mode)
         models = _expand(cubes)
         assert len(models) == len(set(models))  # duplicate-free
         assert set(models) == reference  # lossless

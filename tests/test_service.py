@@ -31,7 +31,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import runtime
+from repro.hardness import sparse_family
 from repro.logic.formula import as_formula
+from repro.logic.printer import to_str
 from repro.logic.theory import Theory
 from repro.revision.batch import BatchCache
 from repro.revision.registry import get_operator
@@ -158,6 +160,28 @@ class TestFaultFreeServing:
             assert q.status == "ok" and q.entailed is True
             assert q.masks is None  # query responses don't ship masks
             assert client.ping().status == "ok"
+
+    def test_forty_letter_sparse_kb_matches_inline(self):
+        # Service workers are daemonic; a 40-letter KB compiles on the
+        # SAT tier and selects on the sparse tier inside one, with the
+        # stock config (no deadline) and the default worker count.
+        workload = sparse_family.build(40, 24, 16, seed=3)
+        theory = to_str(workload.t_formula)
+        updates = (to_str(workload.p_formula),)
+        query = f"{workload.letters[0]} | ~{workload.letters[1]}"
+        with RevisionService(ServiceConfig()) as service:
+            client = ServiceClient(service, timeout=120)
+            revised = client.revise("kb-40", theory, updates)
+            asked = client.query("kb-40", theory, updates, query=query)
+        assert revised.status == "ok", revised.error
+        assert asked.status == "ok", asked.error
+        masks, letters = _direct_masks(theory, updates)
+        assert revised.masks == masks
+        assert tuple(revised.letters) == letters
+        direct = get_operator("dalal").iterate(
+            Theory.coerce((theory,)), [as_formula(u) for u in updates]
+        )
+        assert asked.entailed == direct.entails(as_formula(query))
 
     def test_repeated_request_is_memoised_per_worker(self):
         with RevisionService(_fast_config(workers=1)) as service:
