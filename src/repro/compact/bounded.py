@@ -104,7 +104,7 @@ def delta_exact(theory: TheoryLike, new_formula: FormulaLike) -> List[FrozenSet[
     :func:`repro.logic.shards.translate_union` kernel rather than one
     bitplane pass per model; past the shard cutoff, bounded-density pairs
     run the same pipeline on the sparse tier's pair kernels
-    (:func:`repro.logic.sparse.translate_union` + antichain sweep), so
+    (:func:`repro.logic.sparse.translate_union` + the min⊆ kernel), so
     formula (7) stays effective at 32–64+ letters.
     """
     from ..revision.model_based import delta_bits

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Optional, Set
 
-from ..logic.bitmodels import min_subset_masks
+from ..logic.bitmodels import min_subset_masks, minimal_union_masks
 from ..logic.interpretation import Interpretation, min_subset
 
 ModelSet = FrozenSet[Interpretation]
@@ -117,13 +117,18 @@ def k_pointwise_masks(model: int, p_masks: Iterable[int]) -> int:
     return best
 
 
-def delta_masks(t_masks: Iterable[int], p_masks: Iterable[int]) -> List[int]:
-    """``delta(T, P)`` over masks."""
+def _mu_union(t_masks: Iterable[int], p_masks: Iterable[int]) -> List[int]:
+    """Every ``mu(M, P)`` for ``M |= T``, concatenated (``delta``'s input)."""
     p_list = list(p_masks)
     union: List[int] = []
     for model in t_masks:
         union.extend(mu_masks(model, p_list))
-    return min_subset_masks(union)
+    return union
+
+
+def delta_masks(t_masks: Iterable[int], p_masks: Iterable[int]) -> List[int]:
+    """``delta(T, P)`` over masks."""
+    return min_subset_masks(_mu_union(t_masks, p_masks))
 
 
 def k_global_masks(t_masks: Iterable[int], p_masks: Iterable[int]) -> int:
@@ -142,8 +147,7 @@ def k_global_masks(t_masks: Iterable[int], p_masks: Iterable[int]) -> int:
 
 
 def omega_mask(t_masks: Iterable[int], p_masks: Iterable[int]) -> int:
-    """``Omega`` over masks: OR of the global minimal differences."""
-    letters = 0
-    for diff in delta_masks(t_masks, p_masks):
-        letters |= diff
-    return letters
+    """``Omega`` over masks: OR of the global minimal differences (the
+    kernel stops once that OR is known, see
+    :func:`repro.logic.bitmodels.minimal_union_masks`)."""
+    return minimal_union_masks(_mu_union(t_masks, p_masks))

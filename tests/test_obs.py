@@ -476,6 +476,38 @@ def test_traced_revise_span_tree(backend, theory, update):
     assert revise_spans[0]["attrs"]["tier"] == traced.engine_tier
 
 
+def test_satoh_delta_names_its_min_subset_kernel():
+    """The min⊆ step of a traced Satoh revision on the sparse tier is a
+    ``kernel.minimal`` leaf under the ``delta`` span, with row counts."""
+    x = [var(f"x{i}") for i in range(8)]
+    theory = lor(land(*x[:4]), land(*x[4:]))
+    update = lor(land(lnot(x[0]), x[5]), land(lnot(x[4]), x[1]))
+    with _forced_sparse_tiers():
+        handle, path = tempfile.mkstemp(suffix=".jsonl")
+        os.close(handle)
+        try:
+            obs.configure(path)
+            try:
+                result = revise(theory, update, operator="satoh")
+            finally:
+                obs.close()
+            events = obs.load_events(path)
+        finally:
+            os.unlink(path)
+    assert result.engine_tier == "sparse"
+    _, spans = _check_forest(events)
+    deltas = [s for s in spans.values() if s["name"] == "delta"]
+    assert len(deltas) == 1 and deltas[0]["attrs"]["tier"] == "sparse"
+    kernels = [
+        child for child in deltas[0]["children"]
+        if child["name"] == "kernel.minimal"
+    ]
+    assert len(kernels) == 1
+    attrs = kernels[0]["attrs"]
+    assert 0 < attrs["kept"] <= attrs["rows"]
+    assert not kernels[0]["children"]
+
+
 def test_trace_off_registry_stays_silent():
     """With REPRO_TRACE unset, a revise feeds no span histograms and no
     obs.trace.* counters — the hot path is a true no-op."""
