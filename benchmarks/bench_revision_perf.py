@@ -12,13 +12,10 @@ Engines compared, per instance:
   up to ``shards.SHARD_MAX_LETTERS``, 26 by default);
 * ``sharded_s`` — the sharded tier *forced* (table cutoff dropped to 0), so
   18–20-letter instances compare big-int vs sharded head-to-head;
-* ``pr2_s``   — the PR 2 sharded engine (batched pointwise kernels
-  disabled: one full translate/minimal/translate sweep per T-model), run
-  in a killable subprocess with a timeout at sharded sizes;
-* ``pr1_s``   — the pre-sharding dispatch (shard tier disabled: big-int
-  tables <= 20, SAT enumeration + mask loops above), same subprocess
-  treatment — "cannot complete" is a recorded observation, not an
-  inference;
+* ``pr1_s``   — the dispatch without the shard tier (big-int tables
+  <= 20, SAT enumeration onto the sparse carrier above), run in a
+  killable subprocess with a timeout at sharded sizes — "cannot
+  complete" is a recorded observation, not an inference;
 * ``old_s``   — the retained frozenset reference engine
   (:func:`repro.revision.reference.reference_revise`), timed up to
   ``--old-max-size`` and used to verify model sets bit-for-bit.
@@ -26,16 +23,18 @@ Engines compared, per instance:
 ``--batch`` additionally times :func:`repro.revision.revise_many` against
 the per-pair ``revise`` loop on a workload of shared theories and revising
 formulas.  ``--spot-check-size`` verifies the sharded tier against the
-SAT-tier fallback on a sparse instance above the big-int cutoff.
+forced sparse tier on a bounded-density instance above the big-int
+cutoff.
 
 ``--sparse-sizes`` runs the bounded-density sparse-tier workload
 (:mod:`repro.hardness.sparse_family`: letters × model-density
 parameterised cube DNFs) at the given alphabet sizes — the regime where
 the sharded tier cannot even compile a table past its letter cutoff.  Per
 operator it times the end-to-end pipeline and the selection alone on the
-sparse tier, verifies the model set bit-for-bit against the SAT mask
-loops (and, at sizes the sharded tier still serves, against the sharded
-engine head-to-head), and records which tier answered.  Past the shard
+sparse tier, verifies the model set against the frozenset
+``reference_select`` (and, at sizes the sharded tier still serves,
+against the sharded engine head-to-head), and records which tier
+answered.  Past the shard
 cutoff it also records the **enumeration phase**: the incremental AllSAT
 enumerator of :mod:`repro.sat.allsat` must have served the compile, and
 its cube/resume counts are kept per size.
@@ -77,7 +76,6 @@ DEFAULT_SIZES = (6, 8, 10, 12, 14)
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_OLD_MAX_SIZE = 12
 DEFAULT_PR1_TIMEOUT = 120.0
-DEFAULT_PR2_TIMEOUT = 240.0
 
 #: Alphabet sizes past the big-int cutoff use a bounded-density workload:
 #: the pointwise operators loop over models of T, so the model count — not
@@ -203,17 +201,11 @@ def _time_revise(t, p, name):
 def _engine_worker(t, p, name, mode, conn):
     """Subprocess body: time a retired engine generation.
 
-    ``mode="pr1"`` disables the shard tier (big-int <= 20 letters, SAT +
-    mask loops above); ``mode="pr2"`` keeps the sharded tier but disables
-    the batched pointwise kernels, i.e. the one-sweep-per-T-model engine
-    this PR replaces.
+    ``mode="pr1"`` disables the shard tier (big-int <= 20 letters, SAT
+    enumeration onto the sparse carrier above).
     """
-    from repro.logic import shards
-
     if mode == "pr1":
         _forced(shard_max=0)
-    elif mode == "pr2":
-        shards.POINTWISE_BATCH = False
     else:  # pragma: no cover - guarded by callers
         raise ValueError(f"unknown engine mode {mode!r}")
     try:
@@ -251,7 +243,7 @@ def _run_engine_with_timeout(t, p, name, mode, timeout):
     return payload
 
 
-def run_benchmark(sizes, seeds, old_max_size, pr1_timeout, pr2_timeout, operators):
+def run_benchmark(sizes, seeds, old_max_size, pr1_timeout, operators):
     from repro.logic import Theory
     from repro.revision import reference_revise
 
@@ -282,8 +274,6 @@ def run_benchmark(sizes, seeds, old_max_size, pr1_timeout, pr2_timeout, operator
                     "result_models": result_count,
                     "new_s": new_seconds,
                     "sharded_s": None,
-                    "pr2_s": None,
-                    "pr2_speedup": None,
                     "pr1_s": None,
                     "old_s": None,
                     "speedup": None,
@@ -308,32 +298,26 @@ def run_benchmark(sizes, seeds, old_max_size, pr1_timeout, pr2_timeout, operator
                         )
                 else:
                     # Above the big-int cutoff new_s IS the sharded tier;
-                    # the retired engine generations get killable
-                    # subprocesses instead.
+                    # the retired engine generation gets a killable
+                    # subprocess instead.
                     record["sharded_s"] = new_seconds
-                    for mode, timeout, field in (
-                        ("pr2", pr2_timeout, "pr2_s"),
-                        ("pr1", pr1_timeout, "pr1_s"),
-                    ):
-                        outcome = _run_engine_with_timeout(
-                            t, p, name, mode, timeout
-                        )
-                        if outcome is None:
-                            record[field] = "timeout"
-                        elif "error" in outcome:
-                            record[field] = outcome["error"]
-                        else:
-                            record[field] = outcome["seconds"]
-                            if (
-                                outcome["models"] != result_count
-                                or outcome["digest"] != _masks_digest(result)
-                            ):
-                                raise AssertionError(
-                                    f"sharded/{mode} mismatch: size={size} "
-                                    f"seed={seed} op={name}"
-                                )
-                    if isinstance(record["pr2_s"], float) and new_seconds > 0:
-                        record["pr2_speedup"] = record["pr2_s"] / new_seconds
+                    outcome = _run_engine_with_timeout(
+                        t, p, name, "pr1", pr1_timeout
+                    )
+                    if outcome is None:
+                        record["pr1_s"] = "timeout"
+                    elif "error" in outcome:
+                        record["pr1_s"] = outcome["error"]
+                    else:
+                        record["pr1_s"] = outcome["seconds"]
+                        if (
+                            outcome["models"] != result_count
+                            or outcome["digest"] != _masks_digest(result)
+                        ):
+                            raise AssertionError(
+                                f"sharded/pr1 mismatch: size={size} "
+                                f"seed={seed} op={name}"
+                            )
 
                 if size <= old_max_size:
                     start = time.perf_counter()
@@ -350,12 +334,11 @@ def run_benchmark(sizes, seeds, old_max_size, pr1_timeout, pr2_timeout, operator
                         )
                 records.append(record)
                 shown = []
-                for field in ("pr2_s", "pr1_s"):
-                    value = record[field]
-                    if isinstance(value, float):
-                        shown.append(f"{field[:3]}={value:.3f}s")
-                    elif value:
-                        shown.append(f"{field[:3]}={value}")
+                value = record["pr1_s"]
+                if isinstance(value, float):
+                    shown.append(f"pr1={value:.3f}s")
+                elif value:
+                    shown.append(f"pr1={value}")
                 if not shown:
                     shown.append(
                         f"{record['speedup']:.1f}x vs frozenset"
@@ -391,12 +374,12 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
     * ``sharded_select_s`` — the same selection on the sharded bitplanes
       where the alphabet still fits the shard cutoff, or the recorded
       reason it cannot compile;
-    * ``masks_select_s`` — the same selection on the SAT tier's mask
-      loops, whose model set must match the sparse one bit for bit.
+    * ``reference_s`` — the frozenset engine's ``reference_select`` on
+      the same model sets, whose result the sparse one must equal.
     """
     from repro.hardness import sparse_family
     from repro.logic import bitmodels, shards
-    from repro.revision import revise
+    from repro.revision import reference_select, revise
     from repro.revision.registry import get_operator
     from repro.sat import allsat, bit_models
 
@@ -449,23 +432,16 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
             operator = get_operator(name)
 
             # Selection on the sparse tier (forced below the dense-tier
-            # cutoffs by lowering SPARSE_MIN_LETTERS and, under the
-            # big-int cutoff, the table cutoff; the default dispatch
-            # above the shard cutoff).
-            saved_min = shards.SPARSE_MIN_LETTERS
-            restore_dense = _forced(
-                table_max=0 if dense_tier == "table" else None
-            )
-            if dense_tier is not None:
-                shards.SPARSE_MIN_LETTERS = size
+            # cutoffs by dropping both to 0; the default dispatch above
+            # the shard cutoff).
+            restore_dense = _forced(table_max=0, shard_max=0)
             try:
                 start = time.perf_counter()
                 sparse_result = operator.revise_sets(t_bits, p_bits)
                 sparse_seconds = time.perf_counter() - start
             finally:
                 restore_dense()
-                shards.SPARSE_MIN_LETTERS = saved_min
-            if sparse_result.engine_tier not in ("sparse", "sparse-spill"):
+            if sparse_result.engine_tier != "sparse":
                 raise AssertionError(
                     f"expected the sparse tier, got {sparse_result.engine_tier}"
                 )
@@ -488,25 +464,15 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
                     f"unavailable (shard cutoff {shards.SHARD_MAX_LETTERS})"
                 )
 
-            # Parity with the SAT tier's mask loops: disable the sparse
-            # tier AND drop the bitplane cutoffs, so the dispatch cannot
-            # serve the selection from any table at any size.
-            saved_tier = shards.SPARSE_TIER
-            shards.SPARSE_TIER = False
-            restore = _forced(table_max=0, shard_max=0)
-            try:
-                start = time.perf_counter()
-                masks_result = operator.revise_sets(t_bits, p_bits)
-                masks_seconds = time.perf_counter() - start
-            finally:
-                restore()
-                shards.SPARSE_TIER = saved_tier
-            if (
-                masks_result.engine_tier != "masks"
-                or _masks_digest(masks_result) != digest
-            ):
+            # Parity with the frozenset reference engine on the same sets.
+            start = time.perf_counter()
+            reference = reference_select(
+                name, t_bits.to_frozensets(), p_bits.to_frozensets()
+            )
+            reference_seconds = time.perf_counter() - start
+            if sparse_result.model_set != reference:
                 raise AssertionError(
-                    f"sparse/masks mismatch: size={size} op={name}"
+                    f"sparse/reference mismatch: size={size} op={name}"
                 )
 
             # End-to-end production pipeline (enumeration + selection).
@@ -530,11 +496,7 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
                     "new_s": end_seconds,
                     "select_s": sparse_seconds,
                     "sharded_select_s": sharded_seconds,
-                    "masks_select_s": masks_seconds,
-                    "masks_over_sparse": (
-                        masks_seconds / sparse_seconds
-                        if sparse_seconds > 0 else None
-                    ),
+                    "reference_s": reference_seconds,
                 }
             )
             shown = (
@@ -544,7 +506,7 @@ def run_sparse_benchmark(sizes, t_cubes, p_cubes, operators):
             )
             print(
                 f"  n={size:2d} {name:<9} select={sparse_seconds:.3f}s "
-                f"({shown}, masks={masks_seconds:.3f}s) "
+                f"({shown}, reference={reference_seconds:.3f}s) "
                 f"end-to-end={end_seconds:.2f}s "
                 f"[{sparse_result.engine_tier}]",
                 flush=True,
@@ -800,41 +762,32 @@ def run_governance_benchmark(sizes, model_count, seeds, reps=3):
 
 
 def run_spot_check(size, operators):
-    """Verify the sharded tier against the SAT-tier fallback on a sparse
-    instance above the big-int cutoff (model sets must match
-    bit-for-bit)."""
-    print(f"\nspot check at {size} letters: sharded vs SAT fallback")
+    """Verify the sharded tier against the forced sparse tier on a
+    bounded-density instance above the big-int cutoff (model sets must
+    match bit-for-bit)."""
+    print(f"\nspot check at {size} letters: sharded vs sparse")
     t, p, t_count, p_count = _workload(
         size, seed=0, floor=16, cap=512,
         t_clauses=3 * size, p_clauses=2 * size,
     )
-    from repro.logic import shards
-
     outcomes = {}
     for name in operators:
         _, sharded_result = _time_revise(t, p, name)
-        # Disable the sparse tier too: with density-aware dispatch a
-        # bounded workload under shard_max=0 would otherwise land on the
-        # sparse carrier and this leg would stop exercising the mask loops
-        # it exists to verify.
-        restore = _forced(shard_max=0)
-        saved_sparse = shards.SPARSE_TIER
-        shards.SPARSE_TIER = False
+        restore = _forced(table_max=0, shard_max=0)
         try:
-            _, fallback_result = _time_revise(t, p, name)
+            _, sparse_result = _time_revise(t, p, name)
         finally:
-            shards.SPARSE_TIER = saved_sparse
             restore()
-        if fallback_result.engine_tier not in ("masks", "degenerate"):
+        if sparse_result.engine_tier not in ("sparse", "degenerate"):
             raise AssertionError(
-                f"expected the SAT mask tier, got {fallback_result.engine_tier}"
+                f"expected the sparse tier, got {sparse_result.engine_tier}"
             )
         matches = (
-            sharded_result.model_count() == fallback_result.model_count()
-            and _masks_digest(sharded_result) == _masks_digest(fallback_result)
+            sharded_result.model_count() == sparse_result.model_count()
+            and _masks_digest(sharded_result) == _masks_digest(sparse_result)
         )
         if not matches:
-            raise AssertionError(f"sharded/SAT-fallback mismatch: op={name}")
+            raise AssertionError(f"sharded/sparse mismatch: op={name}")
         outcomes[name] = sharded_result.model_count()
         print(f"  {name:<9} identical ({outcomes[name]} models)")
     return {
@@ -1129,13 +1082,10 @@ def summarise(records):
 
 def summarise_sharded(records):
     """Sharded-tier outcomes: head-to-head vs big-int below the cutoff,
-    completion and speedup vs the retired engines above it."""
+    completion of the retired engine above it."""
     head_to_head = {}
-    pr2_speedups = {}
     large = {
         "completed": 0,
-        "pr2_completed": 0,
-        "pr2_timeouts": 0,
         "pr1_completed": 0,
         "pr1_timeouts": 0,
     }
@@ -1147,27 +1097,15 @@ def summarise_sharded(records):
                 )
         else:
             large["completed"] += 1
-            for mode in ("pr2", "pr1"):
-                value = record[f"{mode}_s"]
-                if isinstance(value, float):
-                    large[f"{mode}_completed"] += 1
-                elif value == "timeout":
-                    large[f"{mode}_timeouts"] += 1
-            if record["pr2_speedup"] is not None:
-                pr2_speedups.setdefault(str(record["size"]), {}).setdefault(
-                    record["operator"], []
-                ).append(record["pr2_speedup"])
+            value = record["pr1_s"]
+            if isinstance(value, float):
+                large["pr1_completed"] += 1
+            elif value == "timeout":
+                large["pr1_timeouts"] += 1
     return {
         "bigint_over_sharded_median_by_size": {
             size: round(statistics.median(values), 2)
             for size, values in head_to_head.items()
-        },
-        "pr2_over_batched_median": {
-            size: {
-                operator: round(statistics.median(values), 2)
-                for operator, values in by_op.items()
-            }
-            for size, by_op in pr2_speedups.items()
         },
         "large_sizes": large,
     }
@@ -1224,13 +1162,8 @@ def main(argv=None):
         help="seconds allowed to the pre-sharding engine at sharded sizes",
     )
     parser.add_argument(
-        "--pr2-timeout", type=float, default=DEFAULT_PR2_TIMEOUT,
-        help="seconds allowed to the per-model sharded engine (batched "
-             "pointwise kernels disabled) at sharded sizes",
-    )
-    parser.add_argument(
         "--spot-check-size", type=int, default=None,
-        help="verify sharded vs SAT fallback at this (sparse) size",
+        help="verify sharded vs forced sparse at this (bounded) size",
     )
     parser.add_argument(
         "--sparse-sizes", type=int, nargs="+", default=None, metavar="SIZE",
@@ -1315,7 +1248,7 @@ def main(argv=None):
 
     records = run_benchmark(
         args.sizes, args.seeds, args.old_max_size, args.pr1_timeout,
-        args.pr2_timeout, args.operators,
+        args.operators,
     )
     summary = summarise(records)
     sharded_summary = summarise_sharded(records)
@@ -1334,24 +1267,22 @@ def main(argv=None):
             "seeds": args.seeds,
             "old_engine_max_size": args.old_max_size,
             "pr1_timeout_s": args.pr1_timeout,
-            "pr2_timeout_s": args.pr2_timeout,
             "operators": args.operators,
         },
         "engines": {
             "old": "repro.revision.reference (frozenset models, all-pairs min-subset)",
-            "pr1": "big-int tables <= 20 letters, SAT + mask loops above (shard tier disabled)",
-            "pr2": "sharded tier with per-T-model sweeps (batched pointwise kernels disabled)",
+            "pr1": "big-int tables <= 20 letters, SAT + sparse carrier above (shard tier disabled)",
             "new": (
                 "repro.revision via bitmodels + shards + sparse (big-int "
                 "<= 20, sharded 21-26 with batched pointwise kernels + "
-                "REPRO_PARALLEL fan-out, density-aware sparse model-set "
-                "tier past the shard cutoff)"
+                "REPRO_PARALLEL fan-out, sparse model-set tier past the "
+                "shard cutoff)"
             ),
             "sharded": "shard tier forced at every size (numpy uint64 bitplanes)",
             "sparse": (
                 "sorted model-mask carriers (repro.logic.sparse): "
                 "density-proportional pair kernels, any alphabet size, "
-                "model counts bounded by REPRO_SPARSE_MAX_MODELS"
+                "no model budget"
             ),
             "allsat": (
                 "incremental AllSAT enumeration (repro.sat.allsat): "
@@ -1369,7 +1300,7 @@ def main(argv=None):
         "sharded_summary": sharded_summary,
     }
     if args.spot_check_size is not None:
-        payload["sharded_vs_sat_fallback"] = run_spot_check(
+        payload["sharded_vs_sparse"] = run_spot_check(
             args.spot_check_size, args.operators
         )
     if args.sparse_sizes is not None:
@@ -1435,34 +1366,29 @@ def main(argv=None):
             cell = summary.get(operator, {}).get(str(size))
             new_median = statistics.median(r["new_s"] for r in matching)
             old_runs = [r["old_s"] for r in matching if r["old_s"] is not None]
-            retired_cells = []
-            for field in ("pr2_s", "pr1_s"):
-                runs = [r[field] for r in matching if r[field] is not None]
-                if runs:
-                    retired_cells.append("/".join(
-                        f"{r:.2f}" if isinstance(r, float) else "timeout"
-                        for r in runs
-                    ))
-                else:
-                    retired_cells.append("-")
+            pr1_runs = [r["pr1_s"] for r in matching if r["pr1_s"] is not None]
+            pr1_cell = "/".join(
+                f"{r:.2f}" if isinstance(r, float) else "timeout"
+                for r in pr1_runs
+            ) or "-"
             rows.append([
                 operator,
                 size,
                 f"{statistics.median(old_runs):.4f}" if old_runs else "-",
                 f"{new_median:.4f}",
-                *retired_cells,
+                pr1_cell,
                 f"{cell['median_speedup']:.1f}x" if cell else "-",
             ])
     lines = [
         "E-perf: model-based revision across engine tiers",
         f"(median wall seconds over seeds {args.seeds}; "
         f"frozenset engine capped at {args.old_max_size} letters; "
-        f"PR2/PR1 engines timed out at {args.pr2_timeout:.0f}s/"
-        f"{args.pr1_timeout:.0f}s on sharded sizes)",
+        f"PR1 engine timed out at {args.pr1_timeout:.0f}s on sharded "
+        f"sizes)",
         "",
     ]
     lines += format_table(
-        ["operator", "letters", "old s", "new s", "pr2 s", "pr1 s", "speedup"],
+        ["operator", "letters", "old s", "new s", "pr1 s", "speedup"],
         rows,
     )
     if args.sparse_sizes is not None:
@@ -1471,12 +1397,12 @@ def main(argv=None):
             "",
             "Sparse tier: bounded-density workload "
             f"({args.sparse_cubes[0]}x{args.sparse_cubes[1]} models, fixed "
-            "across sizes; select = selection only, sharded/masks = same "
-            "selection on the other tiers)",
+            "across sizes; select = selection only, sharded = same "
+            "selection on the bitplanes, reference = frozenset engine)",
             "",
         ]
         lines += format_table(
-            ["operator", "letters", "select s", "sharded s", "masks s",
+            ["operator", "letters", "select s", "sharded s", "reference s",
              "end-to-end s", "tier"],
             [
                 [
@@ -1488,7 +1414,7 @@ def main(argv=None):
                         if isinstance(r["sharded_select_s"], float)
                         else "cannot compile"
                     ),
-                    f"{r['masks_select_s']:.4f}",
+                    f"{r['reference_s']:.4f}",
                     f"{r['new_s']:.2f}",
                     r["tier"],
                 ]

@@ -12,16 +12,14 @@ the shapes span both ends at 40 letters:
   most T-models select P-models no earlier T-model did.
 
 Each shape runs the selection alone (pre-compiled model sets) on the
-sparse tier and on the SAT tier's mask loops, checks that both give the
-same models, and prints the seconds and an order-independent digest, so
+sparse tier and prints the seconds and an order-independent digest, so
 two checkouts can be compared digest for digest::
 
     PYTHONPATH=src python benchmarks/bench_winslett_selection.py
     REPRO_NO_NUMPY=1 PYTHONPATH=src python benchmarks/bench_winslett_selection.py
 
 ``REPRO_NO_NUMPY=1`` puts the sparse tier on its pure-int backend.
-``--shapes`` picks a subset by name; ``--skip-masks`` drops the mask-loop
-leg.
+``--shapes`` picks a subset by name.
 """
 
 from __future__ import annotations
@@ -70,25 +68,19 @@ def digest(masks) -> str:
     return h.hexdigest()[:16]
 
 
-def timed_select(t_bits, p_bits, tier: str):
-    saved = (
-        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS,
-        shards.SPARSE_TIER,
-    )
+def timed_select(t_bits, p_bits):
+    """Seconds and selected masks of Winslett on the sparse tier."""
+    saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
     bitmodels._TABLE_MAX_LETTERS = 0
     shards.SHARD_MAX_LETTERS = 0
-    shards.SPARSE_TIER = tier == "sparse"
     try:
         start = time.perf_counter()
         result = get_operator("winslett").revise_sets(t_bits, p_bits)
         seconds = time.perf_counter() - start
     finally:
-        (
-            bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS,
-            shards.SPARSE_TIER,
-        ) = saved
-    if result.engine_tier != tier:
-        raise AssertionError(f"expected the {tier} tier, got {result.engine_tier}")
+        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
+    if result.engine_tier != "sparse":
+        raise AssertionError(f"expected the sparse tier, got {result.engine_tier}")
     return seconds, set(result.bit_model_set.iter_masks())
 
 
@@ -96,25 +88,17 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--shapes", nargs="+", choices=sorted(SHAPES),
                         default=list(SHAPES))
-    parser.add_argument("--skip-masks", action="store_true",
-                        help="time the sparse tier only")
     args = parser.parse_args()
     alphabet = BitAlphabet(f"v{i:03d}" for i in range(LETTERS))
     print(f"{'shape':15s} {'|T|':>5s} {'|P|':>6s} {'kept':>6s} "
-          f"{'sparse_s':>9s} {'masks_s':>9s}  digest")
+          f"{'sparse_s':>9s}  digest")
     for name in args.shapes:
         t_masks, p_masks = build(name)
         t_bits = BitModelSet(alphabet, t_masks)
         p_bits = BitModelSet(alphabet, p_masks)
-        sparse_s, kept = timed_select(t_bits, p_bits, "sparse")
-        masks_s = "-"
-        if not args.skip_masks:
-            seconds, on_masks = timed_select(t_bits, p_bits, "masks")
-            if on_masks != kept:
-                raise AssertionError(f"sparse/masks mismatch on {name}")
-            masks_s = f"{seconds:9.3f}"
+        sparse_s, kept = timed_select(t_bits, p_bits)
         print(f"{name:15s} {len(t_masks):5d} {len(p_masks):6d} {len(kept):6d} "
-              f"{sparse_s:9.3f} {masks_s:>9s}  {digest(kept)}", flush=True)
+              f"{sparse_s:9.3f}  {digest(kept)}", flush=True)
 
 
 if __name__ == "__main__":

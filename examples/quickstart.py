@@ -6,6 +6,25 @@ heard?  *Revision* says yes; *update* says "no evidence" — the two families
 of operators the paper classifies.
 
 Run:  python examples/quickstart.py
+
+The engine reads eleven environment knobs, all optional; the sections
+below show each one in context:
+
+* ``REPRO_TABLE_MAX_LETTERS`` — big-int table tier cutoff (default 20);
+* ``REPRO_SHARD_MAX_LETTERS`` — sharded bitplane tier cutoff (default 26);
+  past it the sparse carrier serves;
+* ``REPRO_SHARD_BITS_LOG2`` — pure-int shard width, log2 bits (default 16);
+* ``REPRO_SHARD_PARALLEL_LETTERS`` — alphabet size at which pure-int
+  bitplane compiles fan out over processes (default 22);
+* ``REPRO_PARALLEL`` — worker count of the pointwise fan-out (threads on
+  numpy, processes on pure-int; unset = auto);
+* ``REPRO_PARALLEL_BLOCK`` — T-models per batched block (unset = sized
+  to a 16 MiB buffer);
+* ``REPRO_NO_NUMPY`` — force the pure-int backends;
+* ``REPRO_STORE`` — directory of the on-disk artifact store (unset = off);
+* ``REPRO_STORE_MAX_BYTES`` — the store's byte budget (default 1 GiB);
+* ``REPRO_TRACE`` — JSONL trace path (unset = tracing off);
+* ``REPRO_FAULTS`` — deterministic fault injection, for tests.
 """
 
 from repro import KnowledgeBase, revise
@@ -97,8 +116,6 @@ def main() -> None:
     #                             # fallback); unset = auto at 22+ letters
     #   REPRO_PARALLEL_BLOCK=16   # T-models per batched block (unset =
     #                             # sized to a 16 MiB block buffer)
-    #   REPRO_POINTWISE_BATCH=0   # per-model reference path (debugging /
-    #                             # benchmarking only)
     #
     # Leave the knobs unset on small alphabets: below ~22 letters the
     # fan-out overhead outweighs the work.
@@ -112,19 +129,11 @@ def main() -> None:
     # --- the sparse tier: past the cutoff, density is what matters --------
     # Beyond shards.SHARD_MAX_LETTERS no truth table fits in memory — but a
     # serving-shaped KB (a large schema with few admissible states) doesn't
-    # need one.  The fourth engine tier stores just the models, as a
-    # sorted mask array, and every selection rule runs in time proportional
-    # to the *model count*, not to 2^n.  Dispatch is automatic: feed
-    # shards.tier() a model-count bound (the operators do it for you) and
-    # bounded-density sets past the cutoff land on the sparse tier.
-    #
-    #   REPRO_SPARSE_MAX_MODELS=1048576  # density budget: carriers and
-    #                                    # intermediates above it spill to
-    #                                    # the SAT mask loops (identical
-    #                                    # results, no bound)
-    #   REPRO_SPARSE_MIN_LETTERS=21      # optionally serve sparse below
-    #                                    # the shard cutoff too
-    #   REPRO_SPARSE_TIER=0              # disable the tier entirely
+    # need one.  The third and last engine tier stores just the models, as
+    # a sorted mask array, and every selection rule runs in time
+    # proportional to the *model count*, not to 2^n.  The letter count
+    # alone picks the tier, so there is no knob to set: past the shard
+    # cutoff every revision runs on the sparse carrier.
     #
     # A 40-letter revision — twice the sharded cutoff, unthinkable on any
     # bitplane (2^40 bits), instant on the sparse carrier:
@@ -135,8 +144,7 @@ def main() -> None:
     print("\nSparse tier at 40 letters (24 x 16 models, exact semantics):")
     print(f"  tier used    : {result.engine_tier}")
     print(f"  result models: {result.model_count()}")
-    print(f"  tier at 40 letters, 1000 models: {shards.tier(40, 1000)!r}")
-    print(f"  tier at 40 letters, no bound   : {shards.tier(40)!r}")
+    print(f"  tier at 40 letters: {shards.tier(40)!r}")
 
     # --- the enumeration path: incremental AllSAT ---------------------------
     # Past the bitplane cutoffs the model sets themselves come out of a
@@ -159,10 +167,9 @@ def main() -> None:
     # 2^k, nothing materialised) and, in BatchCache, compiles a drifting
     # update stream incrementally: the previous P's carrier is
     # re-checked against the new P and only the delta (new & ~old) is
-    # enumerated, under assumptions (REPRO_INCREMENTAL_CARRIER=0
-    # disables).  Queries against mask-tier results run on the carrier
-    # too: RevisionResult.entails evaluates the query formula once per
-    # node, vectorised over the model rows.
+    # enumerated, under assumptions.  Queries against sparse-tier
+    # results run on the carrier too: RevisionResult.entails evaluates
+    # the query formula once per node, vectorised over the model rows.
     from repro.sat import allsat
 
     print("\nIncremental AllSAT enumeration:")
@@ -195,15 +202,13 @@ def main() -> None:
     # stays *resumable*: re-enter a CubeStream's cubes() and it continues
     # exactly where the raise landed, duplicate-free and lossless.
     #
-    # MemoryBudgetExceeded is-a MemoryError on purpose: a tier that
-    # overflows its budget *degrades* instead of crashing, one rung down
-    # the chain documented on shards.tier() —
+    # MemoryBudgetExceeded is-a MemoryError on purpose: a bitplane tier
+    # that overflows its budget *degrades* instead of crashing, onto the
+    # sparse carrier, the terminal rung documented on shards.tier() —
     #
-    #   sharded compile OOM -> sparse (if the density bound fits) -> masks
-    #   sparse spill        -> dense bound-free tier             -> masks
-    #   table OOM           -> masks
+    #   table or sharded selection OOM -> sparse
     #
-    # — with bit-identical results on every rung and each hop counted in
+    # — with bit-identical results on either rung and each hop counted in
     # runtime.STATS (plus per-edge "demotions:<from>-><to>" keys) and the
     # batch layer's tier_counts.  Process fan-outs survive dead workers
     # too: the crashed worker's range is re-run inline (masks identical

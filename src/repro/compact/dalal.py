@@ -76,22 +76,19 @@ def minimum_distance(
         k, _ = t_sharded.min_hamming(p_sharded)
         return k
     # Past the shard cutoff: when the cheap structural CNF bound says both
-    # model sets fit the sparse budget — probe=False: the SAT-count probe
-    # would cost up to budget+1 blocking-clause solves just to say "no"
-    # before the EXA route, and a "yes" would re-enumerate via bit_models
-    # anyway — enumerate them and take the minimum over the blocked
-    # XOR/popcount pair sweep: k falls out density-proportionally, with no
-    # EXA circuit and no 2^n table.  Eligibility is tier()'s call, the one
-    # decision point the engine layers share.
+    # model sets fit shards.SPARSE_MAX_MODELS — probe=False: the SAT-count
+    # probe would cost up to budget+1 blocking-clause solves just to say
+    # "no" before the EXA route, and a "yes" would re-enumerate via
+    # bit_models anyway — enumerate them and take the minimum over the
+    # blocked XOR/popcount pair sweep of the sparse carrier: k falls out
+    # density-proportionally, with no EXA circuit and no 2^n table.
     budget = _shards.SPARSE_MAX_MODELS
     bound_t = model_count_bound(t_formula, alphabet, budget, probe=False)
     bound_p = (
         model_count_bound(p_formula, alphabet, budget, probe=False)
         if bound_t is not None else None
     )
-    if bound_p is not None and _shards.tier(
-        len(alphabet), max(bound_t, bound_p)
-    ) == "sparse":
+    if bound_p is not None:
         t_bits = bit_models(t_formula, alphabet)
         p_bits = bit_models(p_formula, alphabet)
         if not t_bits or not p_bits:

@@ -29,7 +29,7 @@ from .bitmodels import (
     truth_table,
 )
 from .shards import ShardedTable
-from .sparse import SparseModelSet, SparseSpill
+from .sparse import SparseModelSet
 
 from .formula import (
     FALSE,
@@ -92,7 +92,6 @@ __all__ = [
     "ParseError",
     "ShardedTable",
     "SparseModelSet",
-    "SparseSpill",
     "Theory",
     "Top",
     "Var",

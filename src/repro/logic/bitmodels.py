@@ -59,24 +59,21 @@ not the models: a bounded-density KB over a large schema (a few thousand
 admissible states at 40 letters) fits no bitplane but fits a sorted array
 of model masks easily.  :mod:`repro.logic.sparse` stores exactly that —
 numpy uint64 column blocks (pure-int fallback) — and implements the
-selection rules density-proportionally, spilling to the SAT tier's mask
-loops when an intermediate crosses ``shards.SPARSE_MAX_MODELS`` (env
-``REPRO_SPARSE_MAX_MODELS``).
+selection rules density-proportionally.
 
-Dispatch is four-tiered and decided by :func:`repro.logic.shards.tier`,
-which reads every cutoff live so env overrides are never misreported:
-big-int tables up to ``_TABLE_MAX_LETTERS`` (default 20, env
-``REPRO_TABLE_MAX_LETTERS``), sharded tables up to
+Dispatch is a three-tier ladder decided by :func:`repro.logic.shards.tier`
+from the letter count alone, reading every cutoff live so env overrides
+are never misreported: big-int tables up to ``_TABLE_MAX_LETTERS``
+(default 20, env ``REPRO_TABLE_MAX_LETTERS``), sharded tables up to
 ``shards.SHARD_MAX_LETTERS`` (default 26, env ``REPRO_SHARD_MAX_LETTERS``),
-the sparse tier beyond that whenever a model-count bound fits the live
-``shards.SPARSE_MAX_MODELS`` budget, and the SAT tier plus the Level-1
-mask operations otherwise.  The SAT tier's model sets come from the
-incremental AllSAT enumerator of :mod:`repro.sat.allsat` (resumable
-CDCL search emitting don't-care *cubes* straight into masks or sparse
-column blocks).  All callers in :mod:`repro.sat.interface` and
-:mod:`repro.revision` apply the dispatch automatically;
-:class:`BitModelSet` materialises its mask set lazily so sharded- and
-sparse-tier results can stay in carrier form end to end.
+and the sparse carrier beyond, which is also where a selection goes when a
+bitplane allocation runs out of memory.  Past the shard cutoff the model
+sets come from the incremental AllSAT enumerator of
+:mod:`repro.sat.allsat` (resumable CDCL search emitting don't-care
+*cubes* straight into the sparse column blocks).  All callers in
+:mod:`repro.sat.interface` and :mod:`repro.revision` apply the dispatch
+automatically; :class:`BitModelSet` materialises its mask set lazily so
+sharded- and sparse-tier results can stay in carrier form end to end.
 """
 
 from __future__ import annotations
@@ -95,9 +92,9 @@ from repro import runtime as _runtime
 from .formula import And, Formula, Iff, Implies, Not, Or, Top, Var, Xor, _Constant
 
 #: Above this many letters the ``2^n``-bit big-int encoding hands over to
-#: the sharded tier (:mod:`repro.logic.shards`), and beyond that to SAT
-#: enumeration plus the mask-list operations.  Env-overridable so harnesses
-#: can force the sharded tier onto small alphabets.
+#: the sharded tier (:mod:`repro.logic.shards`), and beyond that to the
+#: sparse carrier (:mod:`repro.logic.sparse`).  Env-overridable so
+#: harnesses can force the sharded tier onto small alphabets.
 _TABLE_MAX_LETTERS = int(os.environ.get("REPRO_TABLE_MAX_LETTERS", "20"))
 
 #: For each byte value, the positions of its set bits — used to stream the
@@ -845,8 +842,8 @@ class BitModelSet:
             raise ValueError(
                 f"{len(bit_alphabet)} letters exceed the big-int table "
                 f"cutoff ({_TABLE_MAX_LETTERS}); use repro.sat.bit_models, "
-                f"which dispatches over all four tiers (sharded bitplanes, "
-                f"sparse model sets, SAT enumeration)"
+                f"which dispatches over the sharded bitplanes and SAT "
+                f"enumeration onto sparse model sets"
             )
         return cls.from_table(bit_alphabet, truth_table(formula, bit_alphabet))
 
@@ -892,12 +889,7 @@ class BitModelSet:
         return self._sharded
 
     def sparse(self):
-        """The Level-4 sparse carrier (lazily cached).
-
-        Raises :class:`repro.logic.sparse.SparseSpill` when the set
-        exceeds the live ``shards.SPARSE_MAX_MODELS`` budget — the tier
-        dispatch only routes bounded-density sets here.
-        """
+        """The Level-4 sparse carrier (lazily cached)."""
         if self._sparse is None:
             from .sparse import SparseModelSet
 

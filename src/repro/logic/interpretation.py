@@ -47,8 +47,7 @@ def min_subset(sets: Iterable[FrozenSet[str]]) -> List[FrozenSet[str]]:
     Size-sorted pruning: candidates are visited smallest first, so only the
     accepted antichain needs checking (a strict subset is strictly smaller,
     hence already processed) — ``O(u·|antichain|)`` instead of the all-pairs
-    ``O(u²)`` scan.  The bitmask engine mirrors this as
-    :func:`repro.logic.bitmodels.min_subset_masks`.
+    ``O(u²)`` scan.
     """
     unique = sorted(dict.fromkeys(sets), key=len)
     minimal: List[FrozenSet[str]] = []

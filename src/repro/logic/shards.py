@@ -54,36 +54,24 @@ at a time that is ``~4n`` full bitplane passes *per model*;
   multiprocessing shard map on the pure-int backend (T-model ranges per
   process).  Worker count and block size come from the ``REPRO_PARALLEL``
   / ``REPRO_PARALLEL_BLOCK`` env knobs resolved by
-  :func:`parallel_workers` / :func:`parallel_block`;
-  ``REPRO_POINTWISE_BATCH=0`` disables batching entirely (the per-model
-  reference path the benchmark harness compares against).
+  :func:`parallel_workers` / :func:`parallel_block`.
 
 :func:`translate_union` applies the same batching to the other per-model
 loop of the engine, the union of translates behind ``delta(T, P)`` and
 Satoh's reachable set.
 
 **Tier dispatch.**  :func:`tier` is the single decision point the engine
-layers share, and since the sparse tier landed it is *density-aware*:
-pass it a model-count bound alongside the alphabet size and it picks one
-of **four** tiers —
+layers share.  It picks one of three tiers by letter count alone:
 
 * ``"table"`` — big-int truth tables, up to
   ``bitmodels._TABLE_MAX_LETTERS`` letters;
 * ``"sharded"`` — this module, up to :data:`SHARD_MAX_LETTERS` (26 unless
   ``REPRO_SHARD_MAX_LETTERS`` says otherwise);
-* ``"sparse"`` — the density-proportional model-mask engine of
-  :mod:`repro.logic.sparse`, for alphabets past the shard cutoff (or past
-  :data:`SPARSE_MIN_LETTERS`, when lowered) whose model-count bound fits
-  the :data:`SPARSE_MAX_MODELS` budget (env ``REPRO_SPARSE_MAX_MODELS``;
-  ``REPRO_SPARSE_TIER=0`` disables the tier);
-* ``"masks"`` — SAT enumeration plus Level-1 mask lists, beyond all of
-  the above.
+* ``"sparse"`` — the density-proportional model-mask carrier of
+  :mod:`repro.logic.sparse`, beyond.
 
 Every cutoff is read live, so env/runtime overrides by tests and
-benchmark harnesses are always honoured.  Without a model bound the
-dispatch degrades to the historical three tiers (sparse needs a density
-estimate — see :func:`repro.sat.interface.model_count_bound` for the
-cheap structural bound + SAT-count probe that supplies one).
+benchmark harnesses are always honoured.
 """
 
 from __future__ import annotations
@@ -114,8 +102,8 @@ WORD_BITS = 64
 #: Width (in bits) of one pure-int shard; must be a power of two >= 64.
 SHARD_BITS = 1 << int(os.environ.get("REPRO_SHARD_BITS_LOG2", "16"))
 
-#: Largest alphabet the sharded tier handles; beyond it the engine falls
-#: back to SAT enumeration plus mask-list selection.  Raised 24 -> 26 once
+#: Largest alphabet the sharded tier handles; beyond it model sets come
+#: from SAT enumeration onto the sparse carrier.  Raised 24 -> 26 once
 #: the pointwise per-model loops were batched (bitplane memory was never
 #: the wall; per-model loop time was).
 SHARD_MAX_LETTERS = int(os.environ.get("REPRO_SHARD_MAX_LETTERS", "26"))
@@ -123,30 +111,13 @@ SHARD_MAX_LETTERS = int(os.environ.get("REPRO_SHARD_MAX_LETTERS", "26"))
 #: Alphabet size at which pure-int compilation fans out over processes.
 PARALLEL_MIN_LETTERS = int(os.environ.get("REPRO_SHARD_PARALLEL_LETTERS", "22"))
 
-#: Model budget of the sparse tier (:mod:`repro.logic.sparse`): the largest
-#: model-set density the sorted-mask carrier accepts, both as the tier
-#: eligibility bound and as the spill threshold for intermediate results
-#: (a 2^20-mask carrier is 8 MiB at 64 letters — the same order as one
-#: sharded bitplane; unions beyond it spill to the SAT mask loops).
-#: Lives here — next to the other tier cutoffs — so :func:`tier` and the
-#: sparse module read one live knob and never import each other in a cycle.
-SPARSE_MAX_MODELS = int(os.environ.get("REPRO_SPARSE_MAX_MODELS", str(1 << 20)))
-
-#: Smallest alphabet the sparse tier may serve; 0 means "just past the
-#: shard cutoff" (the default: below the cutoff the bitplane tiers stay
-#: authoritative, above it sparse takes every bounded-density workload).
-#: Lower it (env ``REPRO_SPARSE_MIN_LETTERS``) to let low-density sets
-#: skip the bitplanes below the cutoff too.
-SPARSE_MIN_LETTERS = int(os.environ.get("REPRO_SPARSE_MIN_LETTERS", "0"))
-
-#: Sparse tier on/off (env ``REPRO_SPARSE_TIER=0`` disables it, restoring
-#: the pre-sparse three-tier dispatch).
-SPARSE_TIER = os.environ.get("REPRO_SPARSE_TIER", "1") != "0"
-
-#: Batched pointwise kernels on/off (env ``REPRO_POINTWISE_BATCH=0`` keeps
-#: the per-model reference path; the perf harness flips this attribute to
-#: time the pre-batching engine under identical workloads).
-POINTWISE_BATCH = os.environ.get("REPRO_POINTWISE_BATCH", "1") != "0"
+#: Density threshold for the routes that pick by model count *before*
+#: compiling (:func:`repro.compact.dalal.minimum_distance` and the default
+#: budget of :func:`repro.sat.interface.model_count_bound`): 2^20 masks is
+#: 8 MiB at 64 letters, the same order as one sharded bitplane.  The
+#: sparse carrier itself has no model budget; ``repro.runtime.Budget``
+#: guards its kernels.
+SPARSE_MAX_MODELS = 1 << 20
 
 #: Word budget for one batched block buffer (16 MiB of uint64): the default
 #: block size is however many T-model rows fit in it.
@@ -182,65 +153,30 @@ PAT64: Tuple[int, ...] = tuple(
 _WORD_FULL = (1 << WORD_BITS) - 1
 
 
-def sparse_min_letters() -> int:
-    """The live lower alphabet bound of the sparse tier (0 = cutoff + 1)."""
-    return SPARSE_MIN_LETTERS or SHARD_MAX_LETTERS + 1
+def tier(letter_count: int) -> str:
+    """Which engine tier handles ``letter_count`` letters.
 
+    ``"table"`` up to ``bitmodels._TABLE_MAX_LETTERS``, ``"sharded"`` up to
+    :data:`SHARD_MAX_LETTERS`, ``"sparse"`` beyond.  Both cutoffs are read
+    at call time, so env overrides (``REPRO_TABLE_MAX_LETTERS``,
+    ``REPRO_SHARD_MAX_LETTERS``) and runtime retargeting by tests and
+    benchmark harnesses are always reported faithfully.
 
-def tier(letter_count: int, model_bound: Optional[int] = None) -> str:
-    """Which engine tier handles ``letter_count`` letters at this density.
-
-    ``model_bound`` is an upper bound on the model counts involved (the
-    caller's sets when already compiled, or the cheap CNF bound / SAT-count
-    probe of :func:`repro.sat.interface.model_count_bound` before
-    compiling); with it the dispatch is four-tier — ``"table"`` /
-    ``"sharded"`` / ``"sparse"`` / ``"masks"`` — and bounded-density sets
-    past the shard cutoff land on the density-proportional sparse engine
-    instead of the SAT mask loops.  Without a bound the sparse tier is
-    never chosen (its carrier must fit :data:`SPARSE_MAX_MODELS` models).
-
-    Reads every cutoff at call time — ``bitmodels._TABLE_MAX_LETTERS``,
-    :data:`SHARD_MAX_LETTERS`, :data:`SPARSE_MAX_MODELS`,
-    :data:`SPARSE_MIN_LETTERS` and :data:`SPARSE_TIER` as they are *now*,
-    not as they were at import — so env overrides
-    (``REPRO_TABLE_MAX_LETTERS``, ``REPRO_SHARD_MAX_LETTERS``,
-    ``REPRO_SPARSE_MAX_MODELS``, ``REPRO_SPARSE_MIN_LETTERS``,
-    ``REPRO_SPARSE_TIER``) and runtime retargeting by tests and benchmark
-    harnesses are always reported faithfully.
-
-    **Degradation chain.**  The answer is the *preferred* tier, not a
-    hard commitment: when a tier's compile or kernel exceeds its memory
-    budget (a real ``MemoryError`` or a
-    :class:`repro.runtime.MemoryBudgetExceeded` from an active
-    :class:`repro.runtime.Budget`, or a
-    :class:`repro.logic.sparse.SparseSpill`), the dispatch layers retry
-    one tier down instead of crashing:
-
-    * ``"sharded"`` compile OOM → ``"sparse"`` (when the model bound
-      fits :data:`SPARSE_MAX_MODELS`) → ``"masks"``;
-    * ``"sparse"`` spill → the dense bound-free tier for the alphabet
-      (``"sharded"`` under the cutoff) → ``"masks"``;
-    * ``"table"`` OOM → ``"masks"``.
-
-    ``"masks"`` — the SAT mask loop — is the terminal tier: density
-    proportional, no table allocation, always succeeds.  Demotions are
-    recorded in :data:`repro.runtime.STATS` (``demotions`` plus
-    per-edge ``demotions:<from>-><to>`` keys) and surface in the batch
-    driver's ``tier_counts`` (see
+    The answer is the *preferred* tier.  When a bitplane allocation fails
+    (a real ``MemoryError`` or a :class:`repro.runtime.MemoryBudgetExceeded`
+    from an active :class:`repro.runtime.Budget`), the selection driver
+    retries on ``"sparse"``, the terminal tier: it stores only the models,
+    so it needs no ``2^n`` allocation.  Demotions are recorded in
+    :data:`repro.runtime.STATS` (``demotions`` plus per-edge
+    ``demotions:<from>-><to>`` keys) and surface in the batch driver's
+    ``tier_counts`` (see
     :func:`repro.revision.model_based._select_bits_tiered`).
     """
     if letter_count <= _bitmodels._TABLE_MAX_LETTERS:
         return "table"
-    sparse_ok = (
-        SPARSE_TIER
-        and model_bound is not None
-        and 0 <= model_bound <= SPARSE_MAX_MODELS
-    )
     if letter_count <= SHARD_MAX_LETTERS:
-        if sparse_ok and letter_count >= sparse_min_letters():
-            return "sparse"
         return "sharded"
-    return "sparse" if sparse_ok else "masks"
+    return "sparse"
 
 
 def _use_numpy(backend: Optional[str]) -> bool:
@@ -1396,7 +1332,8 @@ def pointwise_minimal_select(t_cols, p_cols, selected) -> None:
 
 
 def _pointwise_serial(kind: str, table: "ShardedTable", masks) -> "ShardedTable":
-    """The per-model reference path (also the pure-int worker body)."""
+    """The per-model loop: the single-worker path on pure ints and the
+    body of each fan-out worker."""
     selected = table.zeros_like()
     for model in masks:
         _runtime.checkpoint()
@@ -1526,8 +1463,6 @@ def pointwise_select(
     minimal differences it needs and stops once every P-model has its
     verdict, with scratch bounded by :data:`_SUBSET_PAIR_BUDGET` however
     many masks ``P`` holds.
-    ``REPRO_POINTWISE_BATCH=0`` (or clearing :data:`POINTWISE_BATCH`)
-    forces the serial reference path.
     """
     if kind not in ("minimal", "ring", "union"):
         raise ValueError(f"unknown pointwise kind {kind!r}")
@@ -1553,11 +1488,9 @@ def _pointwise_select_impl(
     if kind == "ring" and not p_table.any():
         # Match the per-model loop: first_ring of an empty table raises.
         raise ValueError("first_ring of an empty table")
-    if not POINTWISE_BATCH or p_table._words is None:
+    if p_table._words is None:
         if _np is not None and isinstance(masks, _np.ndarray):
             masks = [int(mask) for mask in masks]
-        if not POINTWISE_BATCH:
-            return _pointwise_serial(kind, p_table, masks)
         return _pointwise_int(kind, p_table, masks, processes)
     t_arr = _np.asarray(masks, dtype=_np.uint64)
     count = p_table.popcount()

@@ -1,15 +1,14 @@
 """Level-4 sparse model sets: density-proportional engine at any alphabet size.
 
-The three table tiers (big-int ≤ ``_TABLE_MAX_LETTERS``, sharded ≤
-``shards.SHARD_MAX_LETTERS``, SAT + per-model mask loops beyond) all pay for
-the *alphabet*: a truth table materialises all ``2^n`` positions even when a
-knowledge base has a few thousand models.  This module stores only the
-models themselves — the carrier is a **sorted, deduplicated array of model
-masks** — so every operation costs work proportional to the model count
-(*density*), never to ``2^n``.  That is what lifts the sharded tier's
-letter cutoff for bounded-density workloads: a 40-letter KB with 500
-admissible states is a 500-row array here, where the sharded tier would
-need a 2^40-bit bitplane it cannot even allocate.
+The two table tiers (big-int ≤ ``_TABLE_MAX_LETTERS``, sharded ≤
+``shards.SHARD_MAX_LETTERS``) pay for the *alphabet*: a truth table
+materialises all ``2^n`` positions even when a knowledge base has a few
+thousand models.  This module stores only the models themselves — the
+carrier is a **sorted, deduplicated array of model masks** — so every
+operation costs work proportional to the model count (*density*), never
+to ``2^n``.  It is the terminal tier past the shard cutoff: a 40-letter
+KB with 500 admissible states is a 500-row array here, where the sharded
+tier would need a 2^40-bit bitplane it cannot even allocate.
 
 Two storage backends, mirroring :mod:`repro.logic.shards`:
 
@@ -27,26 +26,24 @@ Two storage backends, mirroring :mod:`repro.logic.shards`:
   alphabet width), every kernel a per-model loop, with the pointwise
   fan-out mapped over a ``multiprocessing`` pool.
 
-**Spill path.**  Selections (pointwise minimal/ring, Dalal's nearest set,
-Weber's confined set) return subsets of their inputs and can never grow,
-but *unions* can: translate-unions behind ``delta``/Satoh, Weber's
-Ω-closure, Hamming-ball growth.  Whenever an intermediate result would
-exceed the live model budget (``shards.SPARSE_MAX_MODELS``, env
-``REPRO_SPARSE_MAX_MODELS``) the operation raises :class:`SparseSpill` and
-the caller — see :meth:`repro.revision.model_based.ModelBasedOperator.
-_select_bits` — reruns the selection on the densest tier still available:
-the bitplanes when the alphabet fits their cutoffs, the SAT tier's
-mask-list loops beyond.  Either way the result is identical; only the
-cost model changes.
+**No model budget.**  Selections (pointwise minimal/ring, Dalal's nearest
+set, Weber's confined set, Satoh's reachable set) return subsets of their
+inputs and never grow; only the translate-union behind ``delta`` and
+``Omega`` does.  Nothing here caps the model count: the carrier has no
+tier below it to hand over to.  The guards are those of
+:mod:`repro.runtime` — blocked kernels charge their scratch arrays
+against an active :class:`repro.runtime.Budget` and poll its
+checkpoints — plus the pair budgets that size each block
+(:data:`_PAIR_BUDGET`).
 
 Worker count for the pointwise fan-out comes from the same
 ``REPRO_PARALLEL`` knob as the sharded tier (threads on numpy, processes
 on pure-int); results are bit-identical for any worker count because the
 only cross-model combine is a union, which commutes.
 
-Tier placement is decided by :func:`repro.logic.shards.tier` — pass it a
-model-count bound and alphabets beyond the shard cutoff dispatch here
-instead of to the SAT tier (see the four-tier table there).
+Tier placement is decided by :func:`repro.logic.shards.tier`: alphabets
+beyond the shard cutoff dispatch here, and so do selections whose bitplane
+allocation failed (see the three-tier ladder there).
 """
 
 from __future__ import annotations
@@ -83,37 +80,6 @@ WORD_BITS = 64
 _PAIR_BUDGET = 1 << 22
 
 
-class SparseSpill(RuntimeError):
-    """An intermediate sparse result exceeded the live model budget.
-
-    Raised by the union-shaped operations (translate-union, Ω-closure,
-    Hamming-ball growth, :meth:`SparseModelSet.__or__`) and by carrier
-    construction when the model count crosses
-    ``shards.SPARSE_MAX_MODELS``; callers rerun the selection on the
-    densest bound-free tier still available (bitplanes within their
-    cutoffs, the SAT mask loops beyond) — the result is identical.
-    """
-
-
-def max_models() -> int:
-    """The live sparse model budget (``shards.SPARSE_MAX_MODELS``).
-
-    Read at call time, like every other tier knob, so env overrides and
-    runtime retargeting by tests and harnesses are always honoured.
-    """
-    return _shards.SPARSE_MAX_MODELS
-
-
-def _guard(count: int, context: str) -> None:
-    budget = max_models()
-    if count > budget:
-        raise SparseSpill(
-            f"{context}: {count} models exceed the live sparse model "
-            f"budget REPRO_SPARSE_MAX_MODELS={budget} "
-            f"(shards.SPARSE_MAX_MODELS)"
-        )
-
-
 def _use_numpy(backend: Optional[str]) -> bool:
     # Deliberately local (not shards._use_numpy): each module's backend
     # choice follows its *own* ``_np``, which tests retarget independently
@@ -142,6 +108,10 @@ def _ints_to_cols(masks: Sequence[int], words: int):
     """Pack python ints into a ``(len(masks), words)`` uint64 array."""
     if not masks:
         return _np.zeros((0, words), dtype=_np.uint64)
+    if words == 1:
+        return _np.fromiter(
+            masks, dtype=_np.uint64, count=len(masks)
+        ).reshape(-1, 1)
     data = b"".join(mask.to_bytes(words * 8, "little") for mask in masks)
     return _np.frombuffer(data, dtype="<u8").reshape(len(masks), words).astype(
         _np.uint64, copy=True
@@ -179,9 +149,7 @@ class SparseModelSet:
     """An immutable sorted/deduplicated set of model masks over an alphabet.
 
     The Level-4 carrier: rows are the models themselves, so storage and
-    work scale with the model count, not with ``2^n``.  Construction
-    enforces the live sparse budget (:class:`SparseSpill` beyond it) —
-    the tier dispatch only routes bounded-density sets here.
+    work scale with the model count, not with ``2^n``.
     """
 
     __slots__ = ("alphabet", "_cols", "_ints", "_pc")
@@ -203,12 +171,10 @@ class SparseModelSet:
     ) -> "SparseModelSet":
         """Build from an iterable of model masks (sorted + deduplicated).
 
-        Raises :class:`SparseSpill` when the set exceeds the live budget
-        and ``ValueError`` for masks outside the alphabet.
+        Raises ``ValueError`` for masks outside the alphabet.
         """
         alphabet = BitAlphabet.coerce(alphabet)
         unique = sorted(set(masks))
-        _guard(len(unique), "sparse carrier construction")
         universe = alphabet.universe
         if unique and (unique[0] < 0 or unique[-1] > universe):
             bad = next(m for m in unique if m < 0 or m > universe)
@@ -246,14 +212,9 @@ class SparseModelSet:
         numpy backend) with no per-model frozenset/Interpretation
         intermediates.  This is the emission path of the incremental
         AllSAT enumerator (:mod:`repro.sat.allsat`): a DNF-shaped KB
-        lands here as one row block per cube.  Raises
-        :class:`SparseSpill` as soon as the running expansion would cross
-        the live budget — *before* a wide cube materialises (a 40-free-
-        bit cube must spill, not fill memory).
+        lands here as one row block per cube.
         """
-        return cls.from_masks(
-            alphabet, expand_cubes(cubes, budget=max_models()), backend
-        )
+        return cls.from_masks(alphabet, expand_cubes(cubes), backend)
 
     @classmethod
     def from_payload(
@@ -439,17 +400,15 @@ class SparseModelSet:
             and self.words == 1
         ):
             union = _np.union1d(self._cols.ravel(), other._cols.ravel())
-            _guard(len(union), "sparse union")
             return self._sibling(cols=union.reshape(-1, 1))
         union = sorted(set(self.mask_list()).union(other.mask_list()))
-        _guard(len(union), "sparse union")
         return self._with_masks(union)
 
     def translate(self, mask: int) -> "SparseModelSet":
         """The set ``{ m ^ mask : m in self }``.
 
         XOR by a constant is a bijection, so the size is unchanged — only
-        a re-sort is needed, never a dedup or a budget check.
+        a re-sort is needed, never a dedup.
         """
         if not mask:
             return self
@@ -493,29 +452,6 @@ class SparseModelSet:
 
     # -- Hamming geometry ----------------------------------------------------
 
-    def neighbors(self) -> "SparseModelSet":
-        """All masks at Hamming distance exactly 1 from a member."""
-        flips = [1 << i for i in range(len(self.alphabet))]
-        if self._cols is not None:
-            ints = self.mask_list()
-            grown = {m ^ f for m in ints for f in flips}
-            _guard(len(grown), "sparse neighbor growth")
-            return self._sibling(cols=_ints_to_cols(sorted(grown), self.words))
-        grown = {m ^ f for m in self._ints for f in flips}
-        _guard(len(grown), "sparse neighbor growth")
-        return self._sibling(ints=tuple(sorted(grown)))
-
-    def hamming_ball(self, radius: int) -> "SparseModelSet":
-        """All masks within Hamming distance ``radius`` of a member.
-
-        Grows one ring at a time; density-proportional only for small
-        radii — the budget guard spills before the ball gets dense.
-        """
-        ball = self
-        for _ in range(radius):
-            ball = ball | ball.neighbors()
-        return ball
-
     def min_distance(self, other: "SparseModelSet") -> int:
         """Minimum Hamming distance between members of the two sets.
 
@@ -528,51 +464,17 @@ class SparseModelSet:
         return min_distance_select(self, other)[0]
 
 
-def expand_cubes(
-    cubes: "Iterable[Tuple[int, Sequence[int]]]",
-    budget: Optional[int] = None,
-):
+def expand_cubes(cubes: "Iterable[Tuple[int, Sequence[int]]]"):
     """Stream packed model masks out of ``(base_mask, free_bit_masks)`` cubes.
 
     The one canonical cube expansion (every other emission path delegates
     here): per cube, double the running block once per free bit, so the
-    completions come out in ascending free-completion order.  With a
-    ``budget``, :class:`SparseSpill` is raised as soon as the running
-    total *would* cross it — checked before each doubling, so a cube with
-    dozens of free bits spills immediately instead of materialising
-    ``2^k`` masks first.
+    completions come out in ascending free-completion order.
     """
-
-    def overflow(count: int) -> SparseSpill:
-        # Name the knob that actually bound: the live env-tunable budget
-        # when the caller passed it through, the explicit argument
-        # otherwise — so a degradation log says which limit to raise.
-        live = max_models()
-        if budget == live:
-            knob = (
-                f"the live sparse model budget "
-                f"REPRO_SPARSE_MAX_MODELS={budget}"
-            )
-        else:
-            knob = (
-                f"the explicit budget={budget} argument "
-                f"(REPRO_SPARSE_MAX_MODELS={live} is not the binding "
-                f"limit here)"
-            )
-        return SparseSpill(
-            f"sparse cube expansion: {count} models exceed {knob}"
-        )
-
-    total = 0
     for base, free_bits in cubes:
         expansions = [base]
         for bit in free_bits:
-            if budget is not None and total + 2 * len(expansions) > budget:
-                raise overflow(total + 2 * len(expansions))
             expansions += [mask | bit for mask in expansions]
-        total += len(expansions)
-        if budget is not None and total > budget:
-            raise overflow(total)
         yield from expansions
 
 
@@ -589,7 +491,7 @@ def evaluate_formula(formula, model_set: "SparseModelSet"):
     pure-int).  One pass per formula node, vectorised over the rows: a
     variable is a bit test on its column word, connectives are elementwise
     boolean ops.  This is what lets ``RevisionResult.entails`` answer on
-    the sparse carrier at mask-tier alphabets — ``O(nodes)`` vector ops
+    the sparse carrier past the shard cutoff — ``O(nodes)`` vector ops
     instead of a per-model ``Formula.evaluate`` walk over frozensets —
     and what the incremental-carrier path uses to re-check the previous
     model set against a new constraint.
@@ -800,9 +702,9 @@ def pointwise_select(
     (``"minimal"``, Winslett), the smallest-popcount ring (``"ring"``,
     Forbus) or everything (``"union"``), translate back, union.  For the
     selecting kinds the result is a subset of ``p_set`` (translation is
-    self-inverse), so no bitplane and no budget risk; only ``"union"`` can
-    grow and spill.  Bit-identical for any worker count — union is the
-    only cross-model combine.
+    self-inverse), so no bitplane is needed; only ``"union"`` can grow.
+    Bit-identical for any worker count — union is the only cross-model
+    combine.
     """
     if kind not in ("minimal", "ring", "union"):
         raise ValueError(f"unknown pointwise kind {kind!r}")
@@ -826,6 +728,10 @@ def _pointwise_dispatch(
             # Match the dense tiers: first_ring of an empty table raises.
             raise ValueError("first_ring of an empty model set")
         return p_set
+    t_cols = getattr(t_masks, "_cols", None)
+    if p_set._cols is not None and t_cols is not None and len(t_cols):
+        # A numpy carrier of T already holds the column blocks.
+        return _pointwise_numpy(kind, p_set, t_cols, processes)
     masks = _coerce_masks(t_masks)
     if not masks:
         return p_set._sibling(
@@ -845,9 +751,8 @@ def translate_union(
 
     The sparse form of the loop behind ``delta(T, P)`` and Satoh's
     reachable set: all ``|table| * |masks|`` pair XORs, blocked and
-    deduplicated incrementally; raises :class:`SparseSpill` as soon as the
-    running union crosses the budget (the caller then reruns the selection
-    on the SAT tier).
+    deduplicated incrementally, each block charged against the active
+    :class:`repro.runtime.Budget`.
     """
     masks = _coerce_masks(masks)
     if not masks:
@@ -883,14 +788,12 @@ def _translate_union_impl(
                 fresh if running is None
                 else _canon_cols(_np.concatenate([running, fresh]))
             )
-            _guard(len(running), "sparse translate-union")
         return table._sibling(cols=running)
     ints = table.mask_list()
     union = set()
     for mask in masks:
         _runtime.checkpoint()
         union.update(mask ^ m for m in ints)
-        _guard(len(union), "sparse translate-union")
     return table._sibling(ints=tuple(sorted(union)))
 
 

@@ -7,11 +7,8 @@ from .distances import (
     delta,
     delta_masks,
     k_global,
-    k_global_masks,
     k_pointwise,
-    k_pointwise_masks,
     mu,
-    mu_masks,
     omega,
     omega_mask,
 )
@@ -72,11 +69,8 @@ __all__ = [
     "expand",
     "get_operator",
     "k_global",
-    "k_global_masks",
     "k_pointwise",
-    "k_pointwise_masks",
     "mu",
-    "mu_masks",
     "omega",
     "omega_mask",
     "possible_worlds",

@@ -34,7 +34,6 @@ from ..logic.bitmodels import (
     BitModelSet,
     truth_table,
 )
-from ..logic.sparse import SparseSpill
 from ..logic.shards import ShardedTable
 from ..logic.formula import Formula, FormulaLike, as_formula, big_or, cube
 from ..logic.interpretation import Interpretation
@@ -54,12 +53,12 @@ class RevisionResult:
             letters) — a lazily materialised view of the bitmask-backed
             model set, see :attr:`bit_model_set`.
         engine_tier: which engine tier actually served the selection
-            (``"table"`` / ``"sharded"`` / ``"sparse"`` / ``"masks"``,
-            ``"sparse-spill"`` for a budget spill rerun on the densest
-            tier still available, ``"degenerate"`` when a trivial case
-            short-circuited) — set by the model-based operators, ``None``
-            elsewhere.  This is the observability hook the batch/serving
-            layer aggregates.
+            (``"table"`` / ``"sharded"`` / ``"sparse"``,
+            ``"<tier>-demoted-sparse"`` when a bitplane allocation ran out
+            of memory and the sparse carrier served instead,
+            ``"degenerate"`` when a trivial case short-circuited) — set by
+            the model-based operators, ``None`` elsewhere.  This is the
+            observability hook the batch/serving layer aggregates.
     """
 
     def __init__(
@@ -125,13 +124,12 @@ class RevisionResult:
 
         Vacuously true when the result is inconsistent, as in the paper.
         On both table tiers the query compiles to a table column and
-        entailment is a single containment test of the model table; at
-        mask-tier alphabets the query is evaluated on the *sparse carrier*
-        — one vectorised pass per formula node over the model rows
+        entailment is a single containment test of the model table; past
+        the shard cutoff the query is evaluated on the *sparse carrier* —
+        one vectorised pass per formula node over the model rows
         (:func:`repro.logic.sparse.evaluate_formula`) — so a 40-letter
         result answers queries without ever materialising per-model
-        frozensets.  Only results too dense for the sparse budget fall
-        back to per-model evaluation.
+        frozensets.
         """
         formula = as_formula(query)
         extra = formula.variables() - self._alphabet_set
@@ -148,16 +146,7 @@ class RevisionResult:
             models_table = self._bits.sharded()
             query_table = ShardedTable.from_formula(formula, self._bits.alphabet)
             return not (models_table & ~query_table).any()
-        if self._bits.count() > _shards.SPARSE_MAX_MODELS:
-            # Denser than the sparse budget: building the carrier would
-            # sort the whole mask set per query only to spill — go
-            # straight to per-model evaluation.
-            return all(formula.evaluate(model) for model in self.model_set)
-        try:
-            carrier = self._bits.sparse()
-        except SparseSpill:  # pragma: no cover - budget shrank mid-query
-            return all(formula.evaluate(model) for model in self.model_set)
-        values = _sparse.evaluate_formula(formula, carrier)
+        values = _sparse.evaluate_formula(formula, self._bits.sparse())
         return all(values) if isinstance(values, list) else bool(values.all())
 
     def formula(self) -> Formula:

@@ -29,8 +29,8 @@ Guarantees:
 * a batch may run *several* operators over the same pairs (pass a sequence
   of names): all of them share one compiled table of each ``T``, and
   :meth:`BatchCache.warm` compiles a KB's carrier ahead of the batch —
-  on whichever of the four engine tiers the density-aware dispatch picks,
-  including the sparse model-mask carrier past the shard cutoff — the
+  on whichever of the three engine tiers the dispatch picks for the
+  alphabet, the sparse model-mask carrier past the shard cutoff — the
   keyed warm path of the incremental revision service;
 * the cache reports which engine tier served each pair
   (:attr:`BatchCache.tier_counts`, fed by ``RevisionResult.engine_tier``),
@@ -40,7 +40,6 @@ Guarantees:
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -50,9 +49,7 @@ from repro import store as _store
 from repro.obs import metrics as _metrics
 
 from ..logic import shards as _shards
-from ..logic import sparse as _sparse
 from ..logic.bitmodels import BitAlphabet, BitModelSet
-from ..logic.sparse import SparseSpill
 from ..logic.formula import And, Formula, FormulaLike, as_formula
 from ..logic.theory import Theory, TheoryLike
 from ..sat import bit_models as sat_bit_models
@@ -62,17 +59,9 @@ from .base import RevisionResult
 from .model_based import ModelBasedOperator
 from .registry import get_operator
 
-#: Incremental carrier on/off (env ``REPRO_INCREMENTAL_CARRIER=0`` at
-#: import; retarget the module attribute for in-process A/B): when a
-#: batch re-enumerates a *different* formula over an alphabet past the
-#: bitplane cutoffs, seed it from the previous carrier instead of
-#: enumerating from scratch (see :meth:`BatchCache.bit_models`).
-INCREMENTAL_CARRIER = os.environ.get("REPRO_INCREMENTAL_CARRIER", "1") != "0"
-
 #: How many recent carriers the per-(alphabet, role) LRU keeps as seed
-#: candidates for the incremental path (``REPRO_CARRIER_LRU``; 1 restores
-#: the PR 5 latest-only behaviour exactly).
-CARRIER_LRU_SIZE = max(1, int(os.environ.get("REPRO_CARRIER_LRU", "4")))
+#: candidates for the incremental path (1 keeps only the latest carrier).
+CARRIER_LRU_SIZE = 4
 
 
 def _carrier_signature(formula: Formula) -> frozenset:
@@ -154,15 +143,15 @@ class BatchCache:
         self.carrier_lru_related = 0
         #: Which engine tier served each pair of the batch — a Counter over
         #: the ``RevisionResult.engine_tier`` labels (``"table"`` /
-        #: ``"sharded"`` / ``"sparse"`` / ``"masks"`` / ``"sparse-spill"``
-        #: / ``"degenerate"``), plus ``"memoised"`` for result-cache hits,
+        #: ``"sharded"`` / ``"sparse"`` / ``"<tier>-demoted-sparse"`` /
+        #: ``"degenerate"``), plus ``"memoised"`` for result-cache hits,
         #: ``"formula-based"`` for syntax-sensitive operators, and the
         #: ``"carrier-lru-seed"`` / ``"carrier-lru-related"`` marks the
         #: incremental-carrier LRU leaves per seeded compile.  The
         #: serving layer's observability hook: it says, per batch, how
-        #: much traffic ran density-proportionally vs on bitplanes vs on
-        #: the SAT mask loops.  A :class:`repro.obs.MirrorCounter`: still
-        #: a per-instance ``Counter``, but every bump also lands on
+        #: much traffic ran density-proportionally vs on bitplanes.  A
+        #: :class:`repro.obs.MirrorCounter`: still a per-instance
+        #: ``Counter``, but every bump also lands on
         #: ``batch.tier.<label>`` in the metrics registry, so ``repro
         #: stats`` aggregates tier choice across caches.
         self.tier_counts: Counter = _metrics.MirrorCounter("batch.tier")
@@ -189,9 +178,8 @@ class BatchCache:
         then costs a vectorised re-check plus a handful of solver resumes
         instead of a full enumeration, even when unrelated requests landed
         in between.  Ties and zero-overlap probes fall back to the most
-        recent carrier (the PR 5 behaviour; ``REPRO_CARRIER_LRU=1`` pins
-        the cache to exactly that).  Results are exactly those of a fresh
-        compile; ``REPRO_INCREMENTAL_CARRIER=0`` disables the path.
+        recent carrier (with :data:`CARRIER_LRU_SIZE` at 1 that is the
+        only candidate).  Results are exactly those of a fresh compile.
         """
         key = (formula, alphabet.letters)
         cached = self._model_sets.get(key)
@@ -235,7 +223,7 @@ class BatchCache:
                                          tier_label)
                 if bits is not None:
                     source = "store"
-        if bits is None and enumerated and INCREMENTAL_CARRIER:
+        if bits is None and enumerated:
             lru = self._carrier_lru.get(seed_key)
             if lru:
                 signature = _carrier_signature(formula)
@@ -291,14 +279,6 @@ class BatchCache:
             corrupt_before = store.stats["corrupt"]
             if kind == "sparse":
                 carrier = store.get_sparse(key, alphabet)
-                if (
-                    carrier is not None
-                    and carrier.count() > _sparse.max_models()
-                ):
-                    # A valid artifact from a run with a larger sparse
-                    # budget: not corrupt, just not loadable under the
-                    # live knob — leave it on disk and recompile.
-                    carrier = None
             else:
                 carrier = store.get_sharded(key, alphabet)
             corrupt = store.stats["corrupt"] - corrupt_before
@@ -377,10 +357,10 @@ class BatchCache:
 
         A serving layer that knows which knowledge bases its queue will hit
         calls ``warm`` once per KB (per alphabet) before draining: the
-        theory's carrier compiles now, on whichever of the four tiers
-        :func:`repro.logic.shards.tier` picks for the alphabet *and
-        density* (big-int table, sharded bitplane, or the sparse mask
-        carrier past the shard cutoff), and every operator in the batch
+        theory's carrier compiles now, on whichever of the three tiers
+        :func:`repro.logic.shards.tier` picks for the alphabet (big-int
+        table, sharded bitplane, or the sparse mask carrier past the shard
+        cutoff), and every operator in the batch
         then reuses that one compiled carrier instead of recompiling per
         pair.  Returns the cached :class:`BitModelSet`; a later
         :func:`revise_many` over the same cache scores a hit for it.
@@ -404,17 +384,14 @@ class BatchCache:
     ) -> BitModelSet:
         bits = self.bit_models(t_formula, bit_alphabet, role="theory")
         # Force the tier encoding now: the point of warming is that the
-        # carrier is ready before the serving loop needs it.  The model
-        # count is exact at this point (the set just compiled), so the
-        # density-aware dispatch is too: past the shard cutoff a
-        # bounded-density KB precompiles its sparse carrier here and the
-        # batch's selections start density-proportional on request one.
-        # Tier forcing is an optimisation, never a commitment: if the
-        # preferred encoding overflows its budget here (sparse spill or a
-        # memory cap), leave the carrier lazy — the selection path will
-        # demote down the chain of :func:`repro.logic.shards.tier` at
-        # revise time — and record the miss so the serving layer sees it.
-        level = _shards.tier(len(bit_alphabet), bits.count())
+        # carrier is ready before the serving loop needs it, so past the
+        # shard cutoff the batch's selections start density-proportional
+        # on request one.  Tier forcing is an optimisation, never a
+        # commitment: if a bitplane overflows memory here, leave the
+        # carrier lazy — the selection path demotes to the sparse carrier
+        # at revise time — and record the miss so the serving layer sees
+        # it.
+        level = _shards.tier(len(bit_alphabet))
         persist = None
         try:
             if level == "sparse":
@@ -423,7 +400,7 @@ class BatchCache:
                 persist = ("sharded", bits.sharded())
             elif level == "table":
                 bits.table()
-        except (SparseSpill, MemoryError):
+        except MemoryError:
             self.tier_counts[f"warm-{level}-deferred"] += 1
             warm_span.set("deferred", level)
         warm_span.set("tier", level)

@@ -12,13 +12,14 @@ Global measures (used by Satoh, Dalal, Weber):
 * ``Omega = ∪ delta(T, P)`` — every letter occurring in some minimal
   difference
 
-Each measure exists in two forms: the frozenset form over explicit
-interpretations (the paper's notation, kept as the public API) and the
-``*_masks`` form over packed integers, where ``M △ N`` is ``m ^ n`` and
-``|M △ N|`` is a popcount — the representation the bitmask engine
-(:mod:`repro.logic.bitmodels`) and the model-based operators actually run
-on.  The compact constructions in :mod:`repro.compact` additionally provide
-SAT-based routes to ``k_{T,P}`` and ``Omega`` that avoid full enumeration.
+Each measure has a frozenset form over explicit interpretations (the
+paper's notation, kept as the public API).  ``delta`` and ``Omega`` also
+have a mask form over packed integers, where ``M △ N`` is ``m ^ n``
+(:func:`delta_masks`, :func:`omega_mask`), used by the iterated Weber
+construction and as test oracles; the operators themselves run on the
+tier protocols of :mod:`repro.revision.model_based`.  The compact
+constructions in :mod:`repro.compact` additionally provide SAT-based
+routes to ``k_{T,P}`` and ``Omega`` that avoid full enumeration.
 """
 
 from __future__ import annotations
@@ -94,27 +95,8 @@ def omega(t_models: Iterable[Interpretation], p_models: Iterable[Interpretation]
 
 
 # ---------------------------------------------------------------------------
-# Mask forms (interpretations packed into ints; the engine's hot path)
+# Mask forms (interpretations packed into ints)
 # ---------------------------------------------------------------------------
-
-
-def mu_masks(model: int, p_masks: Iterable[int]) -> List[int]:
-    """``mu(M, P)`` over masks: ``M △ N`` is one XOR per model of ``P``."""
-    return min_subset_masks(model ^ n for n in p_masks)
-
-
-def k_pointwise_masks(model: int, p_masks: Iterable[int]) -> int:
-    """``k_{M,P}`` over masks (popcount of XOR, short-circuit at 0)."""
-    best: Optional[int] = None
-    for n in p_masks:
-        distance = (model ^ n).bit_count()
-        if distance == 0:
-            return 0
-        if best is None or distance < best:
-            best = distance
-    if best is None:
-        raise ValueError("P has no models")
-    return best
 
 
 def _mu_union(t_masks: Iterable[int], p_masks: Iterable[int]) -> List[int]:
@@ -122,28 +104,13 @@ def _mu_union(t_masks: Iterable[int], p_masks: Iterable[int]) -> List[int]:
     p_list = list(p_masks)
     union: List[int] = []
     for model in t_masks:
-        union.extend(mu_masks(model, p_list))
+        union.extend(min_subset_masks(model ^ n for n in p_list))
     return union
 
 
 def delta_masks(t_masks: Iterable[int], p_masks: Iterable[int]) -> List[int]:
     """``delta(T, P)`` over masks."""
     return min_subset_masks(_mu_union(t_masks, p_masks))
-
-
-def k_global_masks(t_masks: Iterable[int], p_masks: Iterable[int]) -> int:
-    """``k_{T,P}`` over masks."""
-    p_list = list(p_masks)
-    best: Optional[int] = None
-    for model in t_masks:
-        candidate = k_pointwise_masks(model, p_list)
-        if best is None or candidate < best:
-            best = candidate
-            if best == 0:
-                break
-    if best is None:
-        raise ValueError("T has no models")
-    return best
 
 
 def omega_mask(t_masks: Iterable[int], p_masks: Iterable[int]) -> int:

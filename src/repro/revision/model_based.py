@@ -24,14 +24,14 @@ the enumeration itself is the incremental AllSAT subsystem of
 cubes land directly in the sparse tier's mask carrier, so the
 enumeration phase of a large-alphabet revision is ``O(#cubes)`` solver
 resumes instead of the old quadratic blocking-clause loop.  Each
-selection rule is written *once*, against a small table-algebra protocol (:class:`_TableOps`
-for Level-2 big-int tables, :class:`_ShardOps` for the Level-3 sharded
-tables of :mod:`repro.logic.shards`, :class:`_SparseOps` for the Level-4
-sorted-mask carriers of :mod:`repro.logic.sparse`): a model set is one
-table, ``{M △ N : N |= P}`` is an XOR-translation of that table, ``min⊆``
-is a subset-sum closure (the subsumption-index kernel of
-:func:`repro.logic.bitmodels.iter_minimal_levels` on the sparse carrier), and
-Dalal's/Weber's global proximity go through the protocol's
+selection rule is written *once*, against a small table-algebra protocol
+(:class:`_TableOps` for Level-2 big-int tables, :class:`_ShardOps` for the
+Level-3 sharded tables of :mod:`repro.logic.shards`, :class:`_SparseOps`
+for the Level-4 sorted-mask carriers of :mod:`repro.logic.sparse`): a
+model set is one table, ``{M △ N : N |= P}`` is an XOR-translation of
+that table, ``min⊆`` is a subset-sum closure (the subsumption-index
+kernel of :func:`repro.logic.bitmodels.iter_minimal_levels` on the sparse
+carrier), and Dalal's/Weber's global proximity go through the protocol's
 ``min_distance_select`` / ``confined_select`` entries — Hamming-ball
 growth and the Ω-closure on the bitplane tiers, blocked XOR/popcount pair
 sweeps on the sparse tier, which never materialises a ball.  The
@@ -44,37 +44,33 @@ and the sparse tier with the density-proportional pair kernels of
 :func:`repro.logic.sparse.pointwise_select` (same env knob, threads on
 numpy, processes on pure-int).
 
-The tier is picked per call by :func:`repro.logic.shards.tier`, fed the
-model counts of the sets at hand: big-int tables up to
+The tier is picked per call by :func:`repro.logic.shards.tier` from the
+letter count alone — a ladder of three tiers: big-int tables up to
 ``_TABLE_MAX_LETTERS`` letters, sharded tables up to
-``shards.SHARD_MAX_LETTERS``, sparse carriers past the shard cutoff while
-the counts fit ``shards.SPARSE_MAX_MODELS`` (all read live), and
-packed-mask loops (XOR + popcount per pair) beyond that.  The pick is a
-preference, not a commitment: when a tier fails mid-rule — a sparse
-intermediate outgrows its budget (:class:`repro.logic.sparse.SparseSpill`)
-or a bitplane compile overflows memory (``MemoryError``, including
-:class:`repro.runtime.MemoryBudgetExceeded` from an active budget) — the
-driver retries one tier down the degradation chain documented on
-:func:`repro.logic.shards.tier`, ending on the always-feasible mask
-loops; the result is bit-identical on every rung, and each hop is
-counted by :func:`repro.runtime.record_demotion`.  Every
-:class:`RevisionResult` records the tier that actually served it in
-``engine_tier``.  The retained frozenset semantics lives in
-:mod:`repro.revision.reference` and the hypothesis suite asserts all
-engines agree; the containment relations among the six results (paper
-Fig. 2) are asserted by ``tests/test_revision_containment.py``.
+``shards.SHARD_MAX_LETTERS`` (both read live), sparse carriers beyond.
+The pick is a preference, not a commitment: when a bitplane tier's
+allocation fails mid-rule (``MemoryError``, including
+:class:`repro.runtime.MemoryBudgetExceeded` from an active budget), the
+driver reruns the rule on the sparse carrier, the terminal tier; the
+result is bit-identical on either rung, and the hop is counted by
+:func:`repro.runtime.record_demotion`.  Every :class:`RevisionResult`
+records the tier that actually served it in ``engine_tier``.  The
+retained frozenset semantics lives in :mod:`repro.revision.reference` and
+the hypothesis suite asserts all engines agree; the containment relations
+among the six results (paper Fig. 2) are asserted by
+``tests/test_revision_containment.py``.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple, TypeVar
 
 from repro import obs as _obs
 from repro import runtime as _runtime
 
 from ..logic import shards as _shards
 from ..logic import sparse as _sparse
-from ..logic.sparse import SparseModelSet, SparseSpill
+from ..logic.sparse import SparseModelSet
 from ..logic.bitmodels import (
     BitAlphabet,
     BitModelSet,
@@ -82,26 +78,18 @@ from ..logic.bitmodels import (
     min_hamming_distance_tables,
     minimal_elements_table,
     minimal_union_masks,
-    pointwise_minimal_masks,
     xor_translate_table,
 )
 from ..logic.formula import FormulaLike, as_formula
-from ..logic.interpretation import Interpretation
 from ..logic.shards import ShardedTable
 from ..logic.theory import Theory, TheoryLike
 from .base import RevisionOperator, RevisionResult
-from .distances import (
-    delta_masks,
-    k_global_masks,
-    k_pointwise_masks,
-    omega_mask,
-)
 
-ModelSet = FrozenSet[Interpretation]
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
-# Table algebra protocol — one selection rule, two table tiers
+# Table algebra protocol — one selection rule, three tiers
 # ---------------------------------------------------------------------------
 
 
@@ -152,6 +140,7 @@ class _TableOps(_DenseSelectMixin):
     """Level-2 adapter: tables are ``2^n``-bit Python ints."""
 
     __slots__ = ("alphabet",)
+    tier = "table"
 
     def __init__(self, alphabet: BitAlphabet) -> None:
         self.alphabet = alphabet
@@ -223,6 +212,7 @@ class _ShardOps(_DenseSelectMixin):
     """Level-3 adapter: tables are :class:`ShardedTable` bitplanes."""
 
     __slots__ = ("alphabet",)
+    tier = "sharded"
 
     def __init__(self, alphabet: BitAlphabet) -> None:
         self.alphabet = alphabet
@@ -291,13 +281,12 @@ class _ShardOps(_DenseSelectMixin):
 class _SparseOps:
     """Level-4 adapter: tables are :class:`SparseModelSet` mask carriers.
 
-    Every entry is density-proportional; the union-shaped ones
-    (``translate_union``, hence ``delta``/Satoh) raise
-    :class:`SparseSpill` past the live budget, which the operator driver
-    turns into a rerun on the mask tier.
+    Every entry is density-proportional and needs no ``2^n`` allocation,
+    which makes this the terminal tier of the ladder.
     """
 
     __slots__ = ("alphabet",)
+    tier = "sparse"
 
     def __init__(self, alphabet: BitAlphabet) -> None:
         self.alphabet = alphabet
@@ -338,7 +327,7 @@ class _SparseOps:
     def translate_union(
         self, table: SparseModelSet, masks
     ) -> SparseModelSet:
-        """Budget-guarded union of translates
+        """Blocked union of translates
         (:func:`repro.logic.sparse.translate_union`)."""
         return _sparse.translate_union(table, masks)
 
@@ -381,69 +370,45 @@ class _SparseOps:
         return _sparse.reachable_select(t_table, p_table, delta_tab)
 
 
-#: Adapter class -> the tier label reported on results (see
-#: :meth:`ModelBasedOperator._select_bits_tiered` and
-#: :func:`_tier_attempts`).
-_OPS_TIERS = {_TableOps: "table", _ShardOps: "sharded", _SparseOps: "sparse"}
+#: Tier label -> table adapter (see :func:`_on_ladder`).
+_OPS = {ops.tier: ops for ops in (_TableOps, _ShardOps, _SparseOps)}
 
 
-#: Failures that demote a selection one tier down instead of crashing:
-#: a sparse intermediate past its budget, or a bitplane allocation the
-#: host (or an active :class:`repro.runtime.Budget`) refused.  Note
-#: ``repro.runtime.MemoryBudgetExceeded`` *is a* ``MemoryError``.
-_DEMOTABLE = (SparseSpill, MemoryError)
+def _tier_attempts(alphabet: BitAlphabet) -> List[str]:
+    """The tier ladder for this alphabet, preferred first.
 
-
-def _ops_for(alphabet: BitAlphabet, model_bound: Optional[int] = None):
-    """The table adapter for the alphabet's tier (None for the mask tier).
-
-    ``model_bound`` — an upper bound on the model counts at hand — is what
-    makes the dispatch density-aware: past the shard cutoff, bounded sets
-    land on :class:`_SparseOps` instead of the mask loops.
+    The tier of :func:`repro.logic.shards.tier`, then ``"sparse"`` when
+    that was a bitplane tier: a ``MemoryError`` while allocating a table
+    is the one demotion, and the sparse carrier, which allocates no
+    ``2^n`` table, is the terminal rung.
     """
-    return _ops_for_level(alphabet, _shards.tier(len(alphabet), model_bound))
+    first = _shards.tier(len(alphabet))
+    return [first] if first == "sparse" else [first, "sparse"]
 
 
-def _ops_for_level(alphabet: BitAlphabet, level: str):
-    if level == "table":
-        return _TableOps(alphabet)
-    if level == "sharded":
-        return _ShardOps(alphabet)
-    if level == "sparse":
-        return _SparseOps(alphabet)
-    return None
+def _on_ladder(
+    alphabet: BitAlphabet, compute: Callable[[object], _T]
+) -> Tuple[_T, str]:
+    """``(compute(ops), label)`` on the first rung of :func:`_tier_attempts`
+    that does not run out of memory.
 
-
-def _tier_attempts(
-    alphabet: BitAlphabet, model_bound: Optional[int]
-) -> List[str]:
-    """The degradation chain for this alphabet/density, preferred first.
-
-    Realises the chain documented on :func:`repro.logic.shards.tier`:
-    the preferred tier, then — should it raise one of
-    :data:`_DEMOTABLE` — each successively cheaper tier, ending on the
-    always-feasible ``"masks"`` loops.  A spilled sparse attempt retries
-    on the densest *bound-free* tier first (a spill says nothing about
-    bitplane feasibility); a sharded compile OOM retries on sparse when
-    the density bound fits its budget.
+    The label is the tier's name, or ``"<preferred>-demoted-sparse"``
+    when the preferred bitplane tier raised ``MemoryError`` and the sparse
+    carrier served instead; the hop is counted by
+    :func:`repro.runtime.record_demotion`.
     """
-    first = _shards.tier(len(alphabet), model_bound)
-    attempts = [first]
-    if first == "sparse":
-        dense = _shards.tier(len(alphabet))  # no bound: never sparse
-        if dense != "masks":
-            attempts.append(dense)
-    elif first in ("table", "sharded"):
-        sparse_ok = (
-            _shards.SPARSE_TIER
-            and model_bound is not None
-            and 0 <= model_bound <= _shards.SPARSE_MAX_MODELS
-        )
-        if first == "sharded" and sparse_ok:
-            attempts.append("sparse")
-    if attempts[-1] != "masks":
-        attempts.append("masks")
-    return attempts
+    attempts = _tier_attempts(alphabet)
+    for position, level in enumerate(attempts):
+        if position:
+            _runtime.record_demotion(attempts[position - 1], level)
+        try:
+            value = compute(_OPS[level](alphabet))
+        except MemoryError:
+            if position + 1 == len(attempts):
+                raise
+            continue
+        return value, level if not position else f"{attempts[0]}-demoted-{level}"
+    raise AssertionError("the tier ladder is never empty")
 
 
 def _differences(ops, t_bits: BitModelSet, p_bits: BitModelSet):
@@ -463,17 +428,14 @@ def _differences(ops, t_bits: BitModelSet, p_bits: BitModelSet):
 
 def _delta_tab(ops, t_bits: BitModelSet, p_bits: BitModelSet):
     """``delta(T, P)`` as a table: minimal elements of all differences."""
-    with _obs.span(
-        "delta", letters=len(ops.alphabet), tier=_OPS_TIERS[type(ops)]
-    ):
+    with _obs.span("delta", letters=len(ops.alphabet), tier=ops.tier):
         return ops.minimal(_differences(ops, t_bits, p_bits))
 
 
 def _omega(ops, t_bits: BitModelSet, p_bits: BitModelSet) -> int:
     """``Omega = ∪ delta(T, P)`` as a letter mask, in a ``delta`` span."""
     with _obs.span(
-        "delta", letters=len(ops.alphabet), tier=_OPS_TIERS[type(ops)],
-        omega=True,
+        "delta", letters=len(ops.alphabet), tier=ops.tier, omega=True
     ):
         return ops.minimal_union(_differences(ops, t_bits, p_bits))
 
@@ -483,30 +445,16 @@ def delta_bits(t_bits: BitModelSet, p_bits: BitModelSet) -> List[int]:
 
     Public entry point for the compact constructions (formula (7) needs the
     set itself); both model sets must be non-empty and share an alphabet.
-    Density-aware: past the shard cutoff, bounded-density sets run the
-    union-of-translates on the sparse pair kernels, falling back to the
-    mask loops when the difference union outgrows the sparse budget.
     """
     if t_bits.alphabet != p_bits.alphabet:
         raise ValueError("model sets range over different alphabets")
     if not t_bits or not p_bits:
         raise ValueError("delta of an empty model set")
-    attempts = _tier_attempts(
-        t_bits.alphabet, max(t_bits.count(), p_bits.count())
+    masks, _ = _on_ladder(
+        t_bits.alphabet,
+        lambda ops: sorted(ops.bits_of(_delta_tab(ops, t_bits, p_bits))),
     )
-    for position, level in enumerate(attempts):
-        if position:
-            _runtime.record_demotion(attempts[position - 1], level)
-        ops = _ops_for_level(t_bits.alphabet, level)
-        if ops is None:
-            break
-        try:
-            return sorted(ops.bits_of(_delta_tab(ops, t_bits, p_bits)))
-        except _DEMOTABLE:
-            if position + 1 == len(attempts):
-                raise
-    with _obs.span("delta", letters=len(t_bits.alphabet), tier="masks"):
-        return sorted(delta_masks(t_bits.masks, p_bits.masks))
+    return masks
 
 
 class ModelBasedOperator(RevisionOperator):
@@ -552,25 +500,17 @@ class ModelBasedOperator(RevisionOperator):
         p_bits = self._bit_models_of(formula, alphabet)
         return self.revise_sets(t_bits, p_bits)
 
-    def _select_bits(self, t_bits: BitModelSet, p_bits: BitModelSet) -> BitModelSet:
-        """Apply the operator's selection rule (degenerate cases shared)."""
-        return self._select_bits_tiered(t_bits, p_bits)[0]
-
     def _select_bits_tiered(
         self, t_bits: BitModelSet, p_bits: BitModelSet
     ) -> Tuple[BitModelSet, str]:
         """Selection plus the tier that actually served it.
 
         The tier label is what :class:`RevisionResult.engine_tier` and the
-        batch layer's per-pair reporting surface.  A demoted selection —
-        the preferred tier raised one of :data:`_DEMOTABLE` and a rung of
-        :func:`_tier_attempts` served instead — is labelled
-        ``"sparse-spill"`` when the preferred tier was sparse (the
-        historical name; the intermediate outgrew the budget) and
-        ``"<preferred>-demoted-<served>"`` otherwise, e.g.
-        ``"sharded-demoted-sparse"`` for a compile OOM absorbed by the
-        sparse carrier.  The selected set is bit-identical on every rung;
-        each hop is counted by :func:`repro.runtime.record_demotion`.
+        batch layer's per-pair reporting surface: the tier's name, or
+        ``"<preferred>-demoted-sparse"`` (e.g. ``"sharded-demoted-sparse"``)
+        when a bitplane allocation ran out of memory and the sparse
+        carrier served instead (:func:`_on_ladder`).  The selected set is
+        bit-identical on either rung.
 
         Under ``REPRO_TRACE`` the whole dispatch runs in a ``select``
         span whose ``tier`` attribute is the served tier's label — the
@@ -590,66 +530,16 @@ class ModelBasedOperator(RevisionOperator):
             return p_bits.with_masks(()), "degenerate"
         if not t_bits:
             return p_bits, "degenerate"
-        attempts = _tier_attempts(
-            p_bits.alphabet, max(t_bits.count(), p_bits.count())
+        return _on_ladder(
+            p_bits.alphabet,
+            lambda ops: ops.wrap(self._rule(ops, t_bits, p_bits)),
         )
-        first = attempts[0]
-        for position, level in enumerate(attempts):
-            if position:
-                _runtime.record_demotion(attempts[position - 1], level)
-                label = (
-                    "sparse-spill" if first == "sparse"
-                    else f"{first}-demoted-{level}"
-                )
-            else:
-                label = level
-            ops = _ops_for_level(p_bits.alphabet, level)
-            if ops is None:
-                selected = p_bits.with_masks(
-                    self._select_masks(t_bits.masks, p_bits.masks)
-                )
-                return selected, label
-            try:
-                return ops.wrap(self._rule(ops, t_bits, p_bits)), label
-            except _DEMOTABLE:
-                if position + 1 == len(attempts):
-                    raise
-        raise AssertionError("tier attempts exhausted without a mask rung")
 
     # -- selection rules -----------------------------------------------------
 
     def _rule(self, ops, t_bits: BitModelSet, p_bits: BitModelSet):
-        """Bit-parallel selection on either table tier (returns a table)."""
+        """The selection rule on any tier's table protocol (returns a table)."""
         raise NotImplementedError
-
-    def _select_masks(
-        self, t_masks: FrozenSet[int], p_masks: FrozenSet[int]
-    ) -> Iterable[int]:
-        """Mask-at-a-time selection (any alphabet size)."""
-        raise NotImplementedError
-
-    # Kept for API compatibility with pre-sharding callers/tests: the
-    # selection rule on big-int tables, returning the selected masks.
-    def _select_tables(
-        self, t_bits: BitModelSet, p_bits: BitModelSet
-    ) -> Iterable[int]:
-        ops = _TableOps(p_bits.alphabet)
-        return ops.bits_of(self._rule(ops, t_bits, p_bits))
-
-    # Kept for API compatibility with pre-bitmask callers/tests.
-    def _select(self, t_models: ModelSet, p_models: ModelSet) -> ModelSet:
-        """Frozenset boundary around :meth:`_select_bits`."""
-        letters: Set[str] = set()
-        for model in t_models:
-            letters |= model
-        for model in p_models:
-            letters |= model
-        alphabet = BitAlphabet.coerce(letters)
-        selected = self._select_bits(
-            BitModelSet.from_interpretations(alphabet, t_models),
-            BitModelSet.from_interpretations(alphabet, p_models),
-        )
-        return selected.to_frozensets()
 
 
 class WinslettOperator(ModelBasedOperator):
@@ -672,11 +562,6 @@ class WinslettOperator(ModelBasedOperator):
     def _rule(self, ops, t_bits: BitModelSet, p_bits: BitModelSet):
         return ops.pointwise_minimal(t_bits, p_bits)
 
-    def _select_masks(
-        self, t_masks: FrozenSet[int], p_masks: FrozenSet[int]
-    ) -> Iterable[int]:
-        return pointwise_minimal_masks(t_masks, p_masks)
-
 
 class BorgidaOperator(ModelBasedOperator):
     """Borgida's operator: ``T ∧ P`` when consistent, else Winslett."""
@@ -688,14 +573,6 @@ class BorgidaOperator(ModelBasedOperator):
         if both:
             return both
         return WinslettOperator()._rule(ops, t_bits, p_bits)
-
-    def _select_masks(
-        self, t_masks: FrozenSet[int], p_masks: FrozenSet[int]
-    ) -> Iterable[int]:
-        both = t_masks & p_masks
-        if both:
-            return both
-        return WinslettOperator()._select_masks(t_masks, p_masks)
 
 
 class ForbusOperator(ModelBasedOperator):
@@ -714,20 +591,6 @@ class ForbusOperator(ModelBasedOperator):
 
     def _rule(self, ops, t_bits: BitModelSet, p_bits: BitModelSet):
         return ops.pointwise_ring(t_bits, p_bits)
-
-    def _select_masks(
-        self, t_masks: FrozenSet[int], p_masks: FrozenSet[int]
-    ) -> Iterable[int]:
-        p_list = list(p_masks)
-        selected: Set[int] = set()
-        for model in t_masks:
-            threshold = k_pointwise_masks(model, p_list)
-            selected.update(
-                candidate
-                for candidate in p_list
-                if (model ^ candidate).bit_count() == threshold
-            )
-        return selected
 
 
 class SatohOperator(ModelBasedOperator):
@@ -753,18 +616,6 @@ class SatohOperator(ModelBasedOperator):
             ops.table(t_bits), ops.table(p_bits), delta_tab
         )
 
-    def _select_masks(
-        self, t_masks: FrozenSet[int], p_masks: FrozenSet[int]
-    ) -> Iterable[int]:
-        minimal = delta_masks(t_masks, p_masks)
-        selected: Set[int] = set()
-        for model in t_masks:
-            for diff in minimal:
-                candidate = model ^ diff
-                if candidate in p_masks:
-                    selected.add(candidate)
-        return selected
-
 
 class DalalOperator(ModelBasedOperator):
     """Dalal's operator: global cardinality-minimal differences.
@@ -785,19 +636,6 @@ class DalalOperator(ModelBasedOperator):
         p_table = ops.table(p_bits)
         _, selected = ops.min_distance_select(ops.table(t_bits), p_table)
         return selected
-
-    def _select_masks(
-        self, t_masks: FrozenSet[int], p_masks: FrozenSet[int]
-    ) -> Iterable[int]:
-        threshold = k_global_masks(t_masks, p_masks)
-        t_list = list(t_masks)
-        return {
-            candidate
-            for candidate in p_masks
-            if any(
-                (candidate ^ model).bit_count() == threshold for model in t_list
-            )
-        }
 
 
 class WeberOperator(ModelBasedOperator):
@@ -828,13 +666,3 @@ class WeberOperator(ModelBasedOperator):
             ops.table(t_bits), ops.table(p_bits), allowed
         )
 
-    def _select_masks(
-        self, t_masks: FrozenSet[int], p_masks: FrozenSet[int]
-    ) -> Iterable[int]:
-        allowed = omega_mask(t_masks, p_masks)
-        t_list = list(t_masks)
-        return {
-            candidate
-            for candidate in p_masks
-            if any((candidate ^ model) & ~allowed == 0 for model in t_list)
-        }

@@ -25,12 +25,11 @@ from ..logic import sparse as _sparse
 from ..logic.bitmodels import (
     BitAlphabet,
     BitModelSet,
-    evaluate_mask,
     iter_set_bits,
     truth_table,
 )
 from ..logic.shards import ShardedTable
-from ..logic.sparse import SparseModelSet, SparseSpill
+from ..logic.sparse import SparseModelSet
 from ..logic.cnf import tseitin
 from ..logic.formula import And, Formula, Not, Or, Var, _Constant, land, lnot
 from ..logic.interpretation import Interpretation
@@ -289,11 +288,7 @@ def bit_models(
     straight into packed masks — and, past every bitplane cutoff, straight
     into the sparse tier's :class:`~repro.logic.sparse.SparseModelSet`
     column blocks, so the carrier the selection rules run on is built in
-    one pass.  The operators feed the enumerated set's model count to
-    :func:`repro.logic.shards.tier`, which routes bounded-density sets to
-    the density-proportional sparse engine instead of the per-pair mask
-    loops (see :func:`model_count_bound` for the pre-compilation density
-    estimate).
+    one pass.
 
     A table/sharded compile that overflows memory (a host
     ``MemoryError`` or the word cap of an active
@@ -348,15 +343,12 @@ def _wrap_enumerated_masks(
 ) -> BitModelSet:
     """An enumerated mask list as a :class:`BitModelSet` — carried on the
     sparse column blocks when the alphabet is past every bitplane cutoff
-    and the set fits the budget (so the selection rules find their
-    carrier pre-built), a plain mask set otherwise."""
-    if _shards.tier(len(bit_alphabet)) == "masks" and _shards.SPARSE_TIER:
-        try:
-            return BitModelSet.from_sparse(
-                bit_alphabet, SparseModelSet.from_masks(bit_alphabet, masks)
-            )
-        except SparseSpill:
-            pass
+    (so the selection rules find their carrier pre-built), a plain mask
+    set otherwise."""
+    if _shards.tier(len(bit_alphabet)) == "sparse":
+        return BitModelSet.from_sparse(
+            bit_alphabet, SparseModelSet.from_masks(bit_alphabet, masks)
+        )
     return BitModelSet(bit_alphabet, masks)
 
 
@@ -410,19 +402,13 @@ def _enumerated_bit_models_impl(
     encoding = _encode([formula])
     projection, bit_of = _projection_bits(encoding, bit_alphabet)
     cubes = list(_allsat.enumerate_cubes(encoding.instance, projection))
-    if _shards.tier(len(bit_alphabet)) == "masks" and _shards.SPARSE_TIER:
+    if _shards.tier(len(bit_alphabet)) == "sparse":
         # Past every bitplane cutoff the sparse carrier is the target
         # representation: emit the cubes straight into it.
-        try:
-            carrier = SparseModelSet.from_cubes(
-                bit_alphabet, (cube.mask_pair(bit_of) for cube in cubes)
-            )
-            return BitModelSet.from_sparse(bit_alphabet, carrier)
-        except SparseSpill:
-            # Denser than the sparse budget: fall through to the plain
-            # mask set, re-expanding the cubes already in hand (the
-            # solver does not run again).
-            pass
+        carrier = SparseModelSet.from_cubes(
+            bit_alphabet, (cube.mask_pair(bit_of) for cube in cubes)
+        )
+        return BitModelSet.from_sparse(bit_alphabet, carrier)
     return BitModelSet(bit_alphabet, _allsat.cube_masks(cubes, bit_of))
 
 
@@ -535,10 +521,10 @@ def model_count_bound(
     """An upper bound on ``formula``'s model count over ``alphabet``, or
     ``None`` when no bound at or below ``budget`` could be established.
 
-    This is the density estimate the four-tier dispatch of
-    :func:`repro.logic.shards.tier` wants before anything is compiled —
-    "does this knowledge base fit the sparse carrier?" — answered in two
-    stages:
+    This is the density estimate for routes that choose by model count
+    before anything is compiled (:func:`repro.compact.dalal.
+    minimum_distance`: "is enumerating both model sets cheap?") —
+    answered in two stages:
 
     * a **cheap structural bound** from the formula shape (conjuncts fix
       letters, disjuncts add, a cube DNF bounds to its cube count), no
@@ -547,11 +533,9 @@ def model_count_bound(
       probe**: incremental enumeration capped at ``budget + 1`` models —
       counted as ``sum(2^k)`` over the enumerator's cubes, with no
       per-model object ever materialised — an exact count when it stops
-      early, ``None`` (density too high for the sparse tier) when it
-      doesn't.
+      early, ``None`` (density above ``budget``) when it doesn't.
 
-    ``budget`` defaults to the live sparse budget
-    (``shards.SPARSE_MAX_MODELS``).
+    ``budget`` defaults to ``shards.SPARSE_MAX_MODELS``.
     """
     if budget is None:
         budget = _shards.SPARSE_MAX_MODELS
@@ -621,18 +605,9 @@ def _incremental_bit_models_impl(
     previous_bits: BitModelSet,
     inc_span,
 ) -> BitModelSet:
-    try:
-        carrier = previous_bits.sparse()
-        flags = _sparse.evaluate_formula(formula, carrier)
-        kept = [
-            mask for mask, ok in zip(carrier.iter_masks(), flags) if ok
-        ]
-    except SparseSpill:
-        kept = [
-            mask
-            for mask in previous_bits.iter_masks()
-            if evaluate_mask(formula, mask, bit_alphabet)
-        ]
+    carrier = previous_bits.sparse()
+    flags = _sparse.evaluate_formula(formula, carrier)
+    kept = [mask for mask, ok in zip(carrier.iter_masks(), flags) if ok]
     # Enumerate only the delta: models of ``new ∧ ¬old``.
     encoding = _encode([formula])
     old_root = encoding.add_formula_unasserted(previous_formula)

@@ -341,25 +341,31 @@ class TestEngineEquivalence:
         st.sampled_from(sorted(MODEL_BASED_NAMES)),
     )
     def test_table_and_mask_selection_paths_agree(self, t_masks, p_masks, name):
-        """The two engine encodings of every selection rule coincide."""
+        """Every tier's encoding of every selection rule — big-int table,
+        sharded bitplane, sparse mask carrier — matches the reference."""
+        from repro.logic import shards
+
         operator = get_operator(name)
         alphabet = BitAlphabet(LETTERS)
-        t_bits = BitModelSet(alphabet, t_masks)
-        p_bits = BitModelSet(alphabet, p_masks)
-        via_tables = set(operator._select_tables(t_bits, p_bits)) if t_masks and p_masks else None
-        via_masks = (
-            set(operator._select_masks(t_bits.masks, p_bits.masks))
-            if t_masks and p_masks
-            else None
-        )
-        assert via_tables == via_masks
         reference = reference_select(
             name,
-            t_bits.to_frozensets(),
-            p_bits.to_frozensets(),
+            BitModelSet(alphabet, t_masks).to_frozensets(),
+            BitModelSet(alphabet, p_masks).to_frozensets(),
         )
-        selected = operator._select_bits(t_bits, p_bits)
-        assert selected.to_frozensets() == reference
+        size = len(LETTERS)
+        saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
+        try:
+            for tier, cutoffs in (
+                ("table", (size, size)), ("sharded", (0, size)), ("sparse", (0, 0))
+            ):
+                bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = cutoffs
+                selected, label = operator._select_bits_tiered(
+                    BitModelSet(alphabet, t_masks), BitModelSet(alphabet, p_masks)
+                )
+                assert label == (tier if t_masks and p_masks else "degenerate")
+                assert selected.to_frozensets() == reference, tier
+        finally:
+            bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
 
     def test_iterated_revision_matches_pairwise_reference(self):
         t = parse("a & b & c")

@@ -11,7 +11,7 @@ pointwise operators run on at sharded sizes):
   small shard widths;
 * determinism: worker count (1 vs N, threads on numpy, processes on
   pure-int) and block size never change the selected table, bit for bit,
-  and disabling batching (``REPRO_POINTWISE_BATCH=0``'s module flag)
+  and the unbatched per-model loop (``shards._pointwise_serial``)
   reproduces the same result;
 * the operator level: winslett/forbus/borgida forced onto the sharded tier
   under a multi-worker environment still match the big-int dispatch.
@@ -121,13 +121,7 @@ class TestKernelEquivalence:
             alphabet, table, backend=backend, shard_bits=shard_bits
         )
         batched = pointwise_select(kind, p_table, t_masks)
-        saved = shards.POINTWISE_BATCH
-        shards.POINTWISE_BATCH = False
-        try:
-            legacy = pointwise_select(kind, p_table, t_masks)
-        finally:
-            shards.POINTWISE_BATCH = saved
-        assert batched == legacy
+        assert batched == shards._pointwise_serial(kind, p_table, t_masks)
 
 
 @pytest.mark.skipif(shards._np is None, reason="numpy backend unavailable")

@@ -423,16 +423,14 @@ def _bit_sets(letter_count=6):
 
 
 class TestTierDemotion:
-    def test_attempts_end_on_masks(self):
+    def test_attempts_end_on_sparse(self):
         alphabet = BitAlphabet([chr(ord("a") + i) for i in range(6)])
         with forced_tiers(table_max=0, shard_max=10):
-            attempts = _tier_attempts(alphabet, 8)
-            assert attempts[0] == "sharded"
-            assert attempts[-1] == "masks"
-            assert "sparse" in attempts
-            assert _tier_attempts(alphabet, None) == ["sharded", "masks"]
+            assert _tier_attempts(alphabet) == ["sharded", "sparse"]
         with forced_tiers(table_max=10, shard_max=10):
-            assert _tier_attempts(alphabet, 8) == ["table", "masks"]
+            assert _tier_attempts(alphabet) == ["table", "sparse"]
+        with forced_tiers(table_max=0, shard_max=0):
+            assert _tier_attempts(alphabet) == ["sparse"]
 
     def test_compile_oom_demotes_with_identical_masks(self):
         # Fresh model sets per call: compiled carriers are cached on the
@@ -444,7 +442,7 @@ class TestTierDemotion:
             before = runtime.STATS["demotions"]
             faults.reset("alloc-oom@1")
             demoted = operator.revise_sets(*_bit_sets())
-        assert demoted.engine_tier.startswith("sharded-demoted-")
+        assert demoted.engine_tier == "sharded-demoted-sparse"
         assert set(demoted.bit_model_set.masks) == set(
             baseline.bit_model_set.masks
         )
@@ -456,7 +454,7 @@ class TestTierDemotion:
             baseline = operator.revise_sets(*_bit_sets())
             with runtime.Budget(max_words=0):
                 demoted = operator.revise_sets(*_bit_sets())
-        assert demoted.engine_tier.startswith("sharded-demoted-")
+        assert demoted.engine_tier == "sharded-demoted-sparse"
         assert set(demoted.bit_model_set.masks) == set(
             baseline.bit_model_set.masks
         )

@@ -1,7 +1,8 @@
-"""Sparse model-set tier: kernel equivalence, dispatch, spill, determinism.
+"""Sparse model-set tier: kernel equivalence, dispatch, determinism.
 
-Four layers of assurance for :mod:`repro.logic.sparse` (the fourth engine
-tier — sorted model-mask carriers with density-proportional kernels):
+Four layers of assurance for :mod:`repro.logic.sparse` (the terminal
+engine tier — sorted model-mask carriers with density-proportional
+kernels):
 
 * hypothesis equivalence of the sparse kernels against brute-force mask
   arithmetic at 6-10 letters and at a 70-letter column-block alphabet, on
@@ -10,14 +11,13 @@ tier — sorted model-mask carriers with density-proportional kernels):
 * the operator level: all six model-based operators forced onto the
   sparse tier return model sets bit-identical to the big-int and sharded
   dispatches, on both backends;
-* the spill path: when an intermediate crosses the
-  ``shards.SPARSE_MAX_MODELS`` budget the engine reruns the selection on
-  the SAT tier's mask loops and the result is identical (the
-  ``sparse-spill`` tier label records that it happened);
+* no model budget: sets larger than ``shards.SPARSE_MAX_MODELS`` stay
+  on the carrier and match the frozenset reference for all six
+  operators;
 * determinism: worker count (``REPRO_PARALLEL`` / ``processes=``, threads
   on numpy, processes on pure-int) never changes a selected set.
 
-Plus the surrounding wiring: four-tier ``shards.tier`` dispatch, the
+Plus the surrounding wiring: three-tier ``shards.tier`` dispatch, the
 ``model_count_bound`` density probe, the ``sparse_family`` workload
 generator's ground truth, and ``BatchCache`` warm/tier reporting.
 """
@@ -26,7 +26,7 @@ import contextlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.logic import bitmodels, shards, sparse
 from repro.logic.bitmodels import (
@@ -37,7 +37,6 @@ from repro.logic.bitmodels import (
 )
 from repro.logic.sparse import (
     SparseModelSet,
-    SparseSpill,
     confined_select,
     min_distance_select,
     pointwise_select,
@@ -55,8 +54,7 @@ WIDE = BitAlphabet([f"w{i:03d}" for i in range(70)])
 
 @contextlib.contextmanager
 def forced_tiers(table_max=0, shard_max=0):
-    """Force the dispatch past the dense tiers (sparse serves when the
-    density bound fits, the mask loops otherwise)."""
+    """Force the dispatch past the dense tiers onto the sparse carrier."""
     saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
     bitmodels._TABLE_MAX_LETTERS = table_max
     shards.SHARD_MAX_LETTERS = shard_max
@@ -207,17 +205,6 @@ class TestSetAlgebra:
             for pm in p_masks
             if any((pm ^ tm) & forbidden == 0 for tm in t_masks)
         }
-
-    def test_neighbors_and_hamming_ball(self, backend):
-        alphabet = BitAlphabet(LETTERS[:6])
-        t = build_set(alphabet, [0b000011, 0b110000], backend)
-        grown = t.neighbors()
-        expected = {
-            m ^ (1 << i) for m in (0b000011, 0b110000) for i in range(6)
-        }
-        assert set(grown.iter_masks()) == expected
-        ball = t.hamming_ball(1)
-        assert set(ball.iter_masks()) == expected | {0b000011, 0b110000}
 
 
 # ---------------------------------------------------------------------------
@@ -390,39 +377,7 @@ class TestWorkerDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Spill path: budget overruns rerun on the SAT tier, identically
-# ---------------------------------------------------------------------------
-
-
-class TestSpill:
-    def test_translate_union_raises_past_budget(self):
-        alphabet = BitAlphabet(LETTERS[:8])
-        for backend in BACKENDS:
-            table = build_set(alphabet, list(range(0, 200, 3)), backend)
-            with sparse_budget(16):
-                with pytest.raises(SparseSpill):
-                    translate_union(table, list(range(0, 200, 7)))
-
-    def test_carrier_construction_respects_budget(self):
-        alphabet = BitAlphabet(LETTERS[:8])
-        with sparse_budget(4):
-            with pytest.raises(SparseSpill):
-                SparseModelSet.from_masks(alphabet, range(10))
-
-    def test_union_and_ball_respect_budget(self):
-        alphabet = BitAlphabet(LETTERS[:8])
-        for backend in BACKENDS:
-            left = build_set(alphabet, range(0, 40, 2), backend)
-            right = build_set(alphabet, range(1, 41, 2), backend)
-            with sparse_budget(30):
-                with pytest.raises(SparseSpill):
-                    left | right
-                with pytest.raises(SparseSpill):
-                    left.hamming_ball(2)
-
-
-# ---------------------------------------------------------------------------
-# Operator level: sparse vs sharded vs big-int, spill parity, tier labels
+# Operator level: sparse vs sharded vs big-int vs reference, tier labels
 # ---------------------------------------------------------------------------
 
 
@@ -457,7 +412,7 @@ class TestOperatorEquivalence:
         with forced_tiers(table_max=0, shard_max=26):
             on_sharded = revise(t, p, name)
         assert on_sharded.engine_tier in ("sharded", "degenerate")
-        assert on_sparse.engine_tier in ("sparse", "sparse-spill", "degenerate")
+        assert on_sparse.engine_tier in ("sparse", "degenerate")
         assert on_sparse.alphabet == reference.alphabet
         assert on_sparse.bit_model_set == reference.bit_model_set
         assert on_sharded.bit_model_set == reference.bit_model_set
@@ -479,58 +434,35 @@ class TestOperatorEquivalence:
         assert on_sparse.bit_model_set == reference.bit_model_set
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.data(),
-    )
-    def test_spill_parity_with_sat_tier(self, seed, data):
-        """A budget that admits the inputs but not the intermediates must
-        still produce the SAT tier's exact result (spill parity)."""
-        from repro.revision import MODEL_BASED_NAMES, revise
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_sets_past_the_model_threshold_match_reference(self, seed):
+        """Sets larger than ``SPARSE_MAX_MODELS`` past the shard cutoff
+        stay on the carrier (it has no model budget) and every operator
+        matches the frozenset reference, on both backends."""
+        from repro.revision import MODEL_BASED_NAMES, reference_select
+        from repro.revision.registry import get_operator
+        from repro.sat import bit_models
 
-        name = data.draw(st.sampled_from(sorted(MODEL_BASED_NAMES)))
         t, p = _random_tp(seed, 5)
-        reference = revise(t, p, name)
-        from repro.sat import bit_models
-
         letters = sorted(t.variables() | p.variables())
-        counts = [
-            bit_models(t, letters).count(), bit_models(p, letters).count()
-        ]
-        budget = max(max(counts), 1)
-        with forced_tiers():
-            with sparse_budget(budget):
-                squeezed = revise(t, p, name)
-        assert squeezed.bit_model_set == reference.bit_model_set
-        assert squeezed.engine_tier in (
-            "sparse", "sparse-spill", "masks", "degenerate"
-        )
-
-    def test_spill_reruns_on_dense_tier_when_available(self):
-        """With the sparse tier lowered below the bitplane cutoffs, a
-        budget spill must re-dispatch to the table/sharded tier — not to
-        the per-pair mask loops — and still match the reference."""
-        from repro.revision import revise
-        from repro.sat import bit_models
-
-        t, p = _random_tp(0, 5)  # seed 0: delta's union outgrows the inputs
-        reference = revise(t, p, "satoh")
-        letters = sorted(t.variables() | p.variables())
-        budget = max(
-            bit_models(t, letters).count(), bit_models(p, letters).count()
-        )
-        saved_min = shards.SPARSE_MIN_LETTERS
-        shards.SPARSE_MIN_LETTERS = 1
-        try:
-            with forced_tiers(table_max=0, shard_max=26):
-                with sparse_budget(budget):
-                    spilled = revise(t, p, "satoh")
-        finally:
-            shards.SPARSE_MIN_LETTERS = saved_min
-        assert spilled.bit_model_set == reference.bit_model_set
-        assert spilled.engine_tier == "sparse-spill"
-        # The rerun really came off a bitplane, not the mask loops.
-        assert spilled.bit_model_set._sharded is not None
+        for backend in BACKENDS:
+            backend_ctx = (
+                int_backend() if backend == "int" else contextlib.nullcontext()
+            )
+            with backend_ctx, forced_tiers():
+                t_bits = bit_models(t, letters)
+                p_bits = bit_models(p, letters)
+                assume(min(t_bits.count(), p_bits.count()) >= 2)
+                assert t_bits._sparse.backend == backend
+                with sparse_budget(1):
+                    for name in sorted(MODEL_BASED_NAMES):
+                        result = get_operator(name).revise_sets(t_bits, p_bits)
+                        assert result.engine_tier == "sparse"
+                        assert result.model_set == reference_select(
+                            name,
+                            t_bits.to_frozensets(),
+                            p_bits.to_frozensets(),
+                        ), name
 
     def test_delta_bits_sparse_matches_table(self):
         from repro.revision import delta_bits
@@ -555,40 +487,23 @@ class TestOperatorEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch: four tiers, live knobs
+# Dispatch: three tiers by letter count, live knobs
 # ---------------------------------------------------------------------------
 
 
 class TestTierDispatch:
-    def test_four_tier_decisions(self):
+    def test_three_tier_decisions(self):
         table_max = bitmodels._TABLE_MAX_LETTERS
         shard_max = shards.SHARD_MAX_LETTERS
         assert shards.tier(table_max) == "table"
+        assert shards.tier(table_max + 1) == "sharded"
         assert shards.tier(shard_max) == "sharded"
-        assert shards.tier(shard_max + 10) == "masks"
-        assert shards.tier(shard_max + 10, model_bound=100) == "sparse"
-        assert shards.tier(
-            shard_max + 10, model_bound=shards.SPARSE_MAX_MODELS + 1
-        ) == "masks"
-        # Below the shard cutoff the bitplanes stay authoritative...
-        assert shards.tier(shard_max, model_bound=100) == "sharded"
-        # ...unless SPARSE_MIN_LETTERS is lowered.
-        saved = shards.SPARSE_MIN_LETTERS
-        shards.SPARSE_MIN_LETTERS = shard_max
-        try:
-            assert shards.tier(shard_max, model_bound=100) == "sparse"
-        finally:
-            shards.SPARSE_MIN_LETTERS = saved
-
-    def test_sparse_tier_can_be_disabled(self):
-        saved = shards.SPARSE_TIER
-        shards.SPARSE_TIER = False
-        try:
-            assert shards.tier(
-                shards.SHARD_MAX_LETTERS + 10, model_bound=10
-            ) == "masks"
-        finally:
-            shards.SPARSE_TIER = saved
+        assert shards.tier(shard_max + 1) == "sparse"
+        assert shards.tier(shard_max + 40) == "sparse"
+        with forced_tiers(table_max=3, shard_max=5):
+            assert [shards.tier(n) for n in (3, 4, 5, 6)] == [
+                "table", "sharded", "sharded", "sparse"
+            ]
 
     def test_model_count_bound_structural_and_probe(self):
         from repro.hardness import sparse_family

@@ -468,25 +468,6 @@ def test_no_store_env_means_no_store_traffic(monkeypatch):
         assert cache.tier_counts["store-put"] == 0
 
 
-def test_oversized_sparse_artifact_is_a_miss_not_corruption(
-    tmp_path, monkeypatch
-):
-    """An artifact recorded under a larger sparse budget is left intact
-    on disk and simply recompiled under the tighter live knob."""
-    monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-    workload, alpha = _sat_workload()
-    with forced_tiers(table_max=0, shard_max=10):
-        BatchCache().warm(workload.t_formula)
-        store.reset_active()
-        monkeypatch.setattr(shards, "SPARSE_MAX_MODELS", 1)
-        cache = BatchCache()
-        bits = cache.bit_models(workload.t_formula, alpha, role="theory")
-        assert cache.tier_counts["store-miss"] == 1
-        assert cache.tier_counts["store-corrupt"] == 0
-        assert sorted(bits.iter_masks()) == sorted(workload.t_masks)
-    assert list(tmp_path.glob(f"*{store.SUFFIX}"))  # still on disk
-
-
 # -- counters and reset helpers ---------------------------------------------
 
 
