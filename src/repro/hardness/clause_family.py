@@ -26,9 +26,10 @@ forced to equal planted model ``i``: the model set is *exactly* the ``k``
 planted rows, at 10 letters or at 40.
 
 The clause list is assembled in an order that is adversarial for
-chronological search: one noise clause per value letter comes first, so
-the Tseitin encoding hands the solver the value letters as its
-lowest-numbered (hence first-branched) variables.  A chronological
+chronological search: one noise clause per value letter comes first, and
+the clausal SAT front-end numbers letters in first-encounter order, so
+the solver gets the value letters as its lowest-numbered (hence
+first-branched) variables.  A chronological
 enumerator then pays for every dead value-prefix with a refutation sweep
 across the selector space, while a learning solver refutes it once and
 reuses the clause — the measurable gap of the ``pr6-cdcl-allsat``
@@ -189,9 +190,9 @@ def _planted_cnf(
 
     clauses: List[Formula] = []
     # Ordering noise first: one clause per value letter, value letters
-    # only, the letter itself leading — this hands the Tseitin encoding
-    # the value letters as the solver's first-branched variables, which
-    # is the adversarial order for chronological search.
+    # only — the encoder numbers letters by first encounter, so the value
+    # letters become the solver's first-branched variables, which is the
+    # adversarial order for chronological search.
     for name in values:
         clause = None
         for attempt_width in range(noise_width[0], min(len(values), 6) + 1):

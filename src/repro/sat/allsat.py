@@ -12,7 +12,7 @@ generalization as in Möhle & Biere's dualizing enumerators):
 
 * **chronological resumption** — one :class:`~repro.sat.solver.Solver`
   per enumeration, branching on the projection variables *first* (so every
-  auxiliary/Tseitin decision happens below a complete projected
+  auxiliary (gate) decision happens below a complete projected
   assignment).  After emitting a model the solver backtracks to the
   deepest still-open projection decision and *continues the same search*
   (:meth:`Solver.next_model`): no re-propagation of the clause database,

@@ -14,8 +14,7 @@ against.
 
 With projection, both enumerate each *projected* model exactly once,
 which is what the revision semantics need (models over ``V(T) ∪ V(P)``
-of a Tseitin-translated formula, ignoring auxiliary definitional
-letters).
+of an encoded formula, ignoring auxiliary gate variables).
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
 """Formula-level SAT interface.
 
 This is the decision-procedure layer the rest of the library uses: formulas
-go in, truth comes out.  Internally every query is Tseitin-translated to CNF
-(query-equivalent over the original letters — the library eats its own
-dog food) and handed to the DPLL solver.
+go in, truth comes out.  A query on the SAT tier is encoded to CNF and
+handed to the CDCL solver (:mod:`repro.sat.solver`).  The encoding is
+clausal first, as in sympy's ``dpll2`` front-end: every top-level conjunct
+that already is a clause becomes one solver clause over the letters
+themselves, and only the non-clausal rest gets definitional gate
+variables, one-sided (Plaisted-Greenbaum) because it is asserted.  The
+result is query-equivalent over the original letters, so projected model
+sets and counts are exact.  The incremental carrier's unasserted old
+formula keeps the two-sided :func:`repro.logic.cnf.tseitin` clauses.
 
 All functions take an optional ``alphabet``: the set of letters the models
 range over.  The paper's semantics always evaluates models over
@@ -30,21 +36,71 @@ from ..logic.bitmodels import (
 )
 from ..logic.shards import ShardedTable
 from ..logic.sparse import SparseModelSet
-from ..logic.cnf import tseitin
+from ..logic.cnf import Literal, tseitin
 from ..logic.formula import And, Formula, Not, Or, Var, _Constant, land, lnot
 from ..logic.interpretation import Interpretation
+from ..logic.nnf import to_nnf
 from . import allsat as _allsat
 from .enumerate import enumerate_models
 from .solver import CnfInstance, Solver
 
 
+def _literal(node: Formula) -> Optional[Literal]:
+    """``(name, positive)`` for a literal (``x`` / ``~x``), else None."""
+    if type(node) is Var:
+        return (node.name, True)
+    if type(node) is Not and type(node.operand) is Var:
+        return (node.operand.name, False)
+    return None
+
+
+def _clause_literals(node: Formula) -> Optional[List[Literal]]:
+    """The literals of a literal or a non-empty ``Or`` of literals, sorted
+    by name; None for any other shape."""
+    single = _literal(node)
+    if single is not None:
+        return [single]
+    if type(node) is not Or or not node.operands:
+        return None
+    lits = []
+    for child in node.operands:
+        lit = _literal(child)
+        if lit is None:
+            return None
+        lits.append(lit)
+    lits.sort()
+    return lits
+
+
+def _conjuncts(formula: Formula) -> List[Formula]:
+    """The operands of ``formula``'s top-level (possibly nested) ``And``,
+    in order; ``[formula]`` when it is no conjunction."""
+    out: List[Formula] = []
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.extend(reversed(node.operands))
+        else:
+            out.append(node)
+    return out
+
+
 class _Encoding:
-    """Mapping between letter names and solver variable indices."""
+    """A CNF instance under construction plus the letter ↔ variable map.
+
+    Letters get solver variables in first-encounter order; definitional
+    (gate) variables are anonymous, so no letter name can collide with
+    them.  ``clausal`` and ``gates`` count the clauses added directly and
+    the gate variables introduced so far.
+    """
 
     def __init__(self) -> None:
         self.instance = CnfInstance()
         self.index_of: Dict[str, int] = {}
         self.name_of: Dict[int, str] = {}
+        self.clausal = 0
+        self.gates = 0
 
     def var(self, name: str) -> int:
         existing = self.index_of.get(name)
@@ -56,7 +112,34 @@ class _Encoding:
         return index
 
     def add_formula(self, formula: Formula) -> None:
-        self._add_clauses(tseitin(formula, prefix="_sat"), asserted=True)
+        """Assert ``formula``.
+
+        Conjuncts that already are clauses (a literal or an ``Or`` of
+        literals) go to the solver as one clause each, literals sorted by
+        name so the variable numbering does not depend on
+        ``PYTHONHASHSEED``.  The NNF of every other conjunct is encoded
+        one-sided (Plaisted-Greenbaum): an asserted ``Or`` is one clause
+        over its children's literals, and an inner gate ``g`` only implies
+        its subformula.  Every model of ``formula`` extends to the
+        encoding and every model of the encoding satisfies ``formula``,
+        so projected model sets and counts are exact.
+        """
+        with _obs.span("sat.encode") as encode_span:
+            clausal, gates = self.clausal, self.gates
+            cache: Dict[Formula, int] = {}
+            for conjunct in _conjuncts(formula):
+                if self._add_clausal(conjunct):
+                    continue
+                for part in _conjuncts(to_nnf(conjunct)):
+                    if self._add_clausal(part):
+                        continue
+                    children = part.operands if type(part) is Or else (part,)
+                    self.instance.add_clause(
+                        [self._gate(child, cache) for child in children]
+                    )
+            self._report(
+                encode_span, self.clausal - clausal, self.gates - gates
+            )
 
     def add_formula_unasserted(self, formula: Formula) -> int:
         """Encode ``formula``'s definitional clauses *without* asserting its
@@ -68,43 +151,91 @@ class _Encoding:
         incremental-carrier path uses to enumerate only the delta
         ``new ∧ ¬old`` under assumptions.
         """
-        return self._add_clauses(tseitin(formula, prefix="_sat"), asserted=False)
-
-    def _add_clauses(self, result, asserted: bool) -> int:
-        # Auxiliary letters must be fresh per formula: rename on the fly.
-        rename: Dict[str, str] = {}
-        for aux in result.aux_names:
-            rename[aux] = f"_sat{self.instance.num_vars}_{aux}"
-        clauses = result.clauses
-        if not asserted:
+        with _obs.span("sat.encode") as encode_span:
+            result = tseitin(formula, prefix="_sat")
+            # Auxiliary letters must be fresh per formula: rename on the fly.
+            rename: Dict[str, str] = {}
+            for aux in result.aux_names:
+                rename[aux] = f"_sat{self.instance.num_vars}_{aux}"
             # tseitin() appends the root-asserting unit clause last; the
             # definitional clauses before it are kept in full.
-            clauses = clauses[:-1]
-        for clause in clauses:
-            ints = []
-            # Clauses are frozensets; iterate literals in sorted order so
-            # variable numbering (first-encounter allocation) and watched
-            # literal choice do not depend on PYTHONHASHSEED.
-            for name, positive in sorted(clause):
-                actual = rename.get(name, name)
-                index = self.var(actual)
-                ints.append(index if positive else -index)
-            self.instance.add_clause(ints)
-        root_name, root_positive = result.root
-        index = self.var(rename.get(root_name, root_name))
-        return index if root_positive else -index
+            for clause in result.clauses[:-1]:
+                # Iterate the frozenset's literals in sorted order so
+                # numbering does not depend on PYTHONHASHSEED.
+                self._add_literals(
+                    (rename.get(name, name), positive)
+                    for name, positive in sorted(clause)
+                )
+            self.gates += len(result.aux_names)
+            self._report(encode_span, 0, len(result.aux_names))
+            root_name, root_positive = result.root
+            index = self.var(rename.get(root_name, root_name))
+            return index if root_positive else -index
+
+    def _add_clausal(self, node: Formula) -> bool:
+        """Add ``node`` as one clause if it is clause-shaped."""
+        lits = _clause_literals(node)
+        if lits is None:
+            return False
+        self._add_literals(lits)
+        self.clausal += 1
+        return True
+
+    def _add_literals(self, lits: Iterable[Literal]) -> None:
+        var = self.var
+        self.instance.add_clause(
+            [var(name) if positive else -var(name) for name, positive in lits]
+        )
+
+    def _gate(self, node: Formula, cache: Dict[Formula, int]) -> int:
+        """The solver literal standing for the NNF subformula ``node``:
+        the letter itself for a literal, else a gate ``g`` with the
+        one-sided clauses ``g → node`` (``Top``/``Bottom`` keep a unit
+        clause fixing their gate)."""
+        lit = _literal(node)
+        if lit is not None:
+            name, positive = lit
+            return self.var(name) if positive else -self.var(name)
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        add = self.instance.add_clause
+        if isinstance(node, (And, Or)):
+            children = [self._gate(child, cache) for child in node.operands]
+            gate = self._new_gate()
+            if isinstance(node, And):
+                for child in children:
+                    add([-gate, child])
+            else:
+                add([-gate] + children)
+        elif isinstance(node, _Constant):
+            gate = self._new_gate()
+            add([gate] if node.value else [-gate])
+        else:  # pragma: no cover - NNF guarantee
+            raise ValueError("input must be in NNF")
+        cache[node] = gate
+        return gate
+
+    def _new_gate(self) -> int:
+        self.gates += 1
+        return self.instance.new_var()
+
+    def _report(self, encode_span, clausal: int, gates: int) -> None:
+        encode_span.set("vars", self.instance.num_vars)
+        encode_span.set("clauses", len(self.instance.clauses))
+        encode_span.set("clausal", clausal)
+        encode_span.set("gates", gates)
 
 
-def _encode(formulas: Iterable[Formula]) -> _Encoding:
+def _encode(formula: Formula) -> _Encoding:
     encoding = _Encoding()
-    for formula in formulas:
-        encoding.add_formula(formula)
+    encoding.add_formula(formula)
     return encoding
 
 
 def is_satisfiable(formula: Formula) -> bool:
     """Decide satisfiability of ``formula``."""
-    encoding = _encode([formula])
+    encoding = _encode(formula)
     if encoding.instance.has_empty_clause:
         return False
     return Solver(encoding.instance).solve()
@@ -262,7 +393,7 @@ def models(
             if limit is not None and produced >= limit:
                 return
         return
-    encoding = _encode([formula])
+    encoding = _encode(formula)
     # Ensure every projection letter exists in the encoding even when the
     # formula does not mention it (unconstrained letters double the models).
     projection = [encoding.var(name) for name in names]
@@ -311,8 +442,8 @@ def bit_models(
                     bit_alphabet, truth_table(formula, bit_alphabet)
                 )
             except MemoryError:
-                _runtime.record_demotion("table", "masks")
-                compile_span.set("demoted", "table->masks")
+                _runtime.record_demotion("table", "sat")
+                compile_span.set("demoted", "table->sat")
         elif engine == "sharded":
             try:
                 return BitModelSet.from_sharded(
@@ -320,8 +451,8 @@ def bit_models(
                     ShardedTable.from_formula(formula, bit_alphabet),
                 )
             except MemoryError:
-                _runtime.record_demotion("sharded", "masks")
-                compile_span.set("demoted", "sharded->masks")
+                _runtime.record_demotion("sharded", "sat")
+                compile_span.set("demoted", "sharded->sat")
         if engine != "sat":
             compile_span.set("engine", "sat")
         return _enumerated_bit_models(formula, bit_alphabet)
@@ -361,8 +492,11 @@ def _enumerated_bit_models(
     dicts or Interpretation objects); on sparse-tier alphabets the cubes
     expand into the :class:`~repro.logic.sparse.SparseModelSet` column
     blocks themselves, so the carrier the selection rules run on is built
-    in one pass and the mask frozenset never materialises.
+    in one pass and the mask frozenset never materialises.  The encode
+    (``sat.encode``) and the enumeration (``sat.enumerate``) are sibling
+    spans under ``compile``.
     """
+    encoding = _encode(formula)
     with _obs.span(
         "sat.enumerate", letters=len(bit_alphabet.letters)
     ) as sat_span:
@@ -371,7 +505,7 @@ def _enumerated_bit_models(
             if _obs.tracing() else None
         )
         try:
-            return _enumerated_bit_models_impl(formula, bit_alphabet)
+            return _enumerated_bit_models_impl(encoding, bit_alphabet)
         finally:
             if before is not None:
                 for key in _ENUM_DELTA_KEYS:
@@ -397,9 +531,8 @@ _ENUM_DELTA_KEYS = (
 
 
 def _enumerated_bit_models_impl(
-    formula: Formula, bit_alphabet: BitAlphabet
+    encoding: _Encoding, bit_alphabet: BitAlphabet
 ) -> BitModelSet:
-    encoding = _encode([formula])
     projection, bit_of = _projection_bits(encoding, bit_alphabet)
     cubes = list(_allsat.enumerate_cubes(encoding.instance, projection))
     if _shards.tier(len(bit_alphabet)) == "sparse":
@@ -437,7 +570,7 @@ def count_models(
             count = truth_table(formula, BitAlphabet.coerce(names)).bit_count()
             return count if limit is None else min(count, limit)
         except MemoryError:
-            _runtime.record_demotion("table", "masks")
+            _runtime.record_demotion("table", "sat")
     elif engine == "sharded":
         try:
             sharded = ShardedTable.from_formula(
@@ -446,22 +579,13 @@ def count_models(
             count = sharded.popcount()
             return count if limit is None else min(count, limit)
         except MemoryError:
-            _runtime.record_demotion("sharded", "masks")
-    encoding = _encode([formula])
-    projection = [encoding.var(name) for name in names]
+            _runtime.record_demotion("sharded", "sat")
     with _obs.span("sat.count", letters=len(names)) as count_span:
+        encoding = _encode(formula)
+        projection = [encoding.var(name) for name in names]
         count = _allsat.count_models(encoding.instance, projection, limit)
         count_span.set("count", count)
         return count
-
-
-def _literal_name(node: Formula) -> Optional[str]:
-    """The letter of a literal (``x`` / ``~x``), None for anything else."""
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Not) and isinstance(node.operand, Var):
-        return node.operand.name
-    return None
 
 
 def _structural_bound(
@@ -481,9 +605,9 @@ def _structural_bound(
     """
     letter_count = len(names)
     full = min(cap, 1 << letter_count) if letter_count < 64 else cap
-    literal = _literal_name(node)
+    literal = _literal(node)
     if literal is not None:
-        if literal not in names:
+        if literal[0] not in names:
             return full
         return min(cap, 1 << (letter_count - 1)) if letter_count >= 1 else 1
     if isinstance(node, _Constant):
@@ -492,10 +616,10 @@ def _structural_bound(
         fixed = set()
         best = full
         for operand in node.operands:
-            name = _literal_name(operand)
-            if name is not None:
-                if name in names:
-                    fixed.add(name)
+            literal = _literal(operand)
+            if literal is not None:
+                if literal[0] in names:
+                    fixed.add(literal[0])
             else:
                 best = min(best, _structural_bound(operand, names, cap))
         free = letter_count - len(fixed)
@@ -609,7 +733,7 @@ def _incremental_bit_models_impl(
     flags = _sparse.evaluate_formula(formula, carrier)
     kept = [mask for mask, ok in zip(carrier.iter_masks(), flags) if ok]
     # Enumerate only the delta: models of ``new ∧ ¬old``.
-    encoding = _encode([formula])
+    encoding = _encode(formula)
     old_root = encoding.add_formula_unasserted(previous_formula)
     projection, bit_of = _projection_bits(encoding, bit_alphabet)
     delta = _allsat.cube_masks(

@@ -6,9 +6,9 @@ Features:
 
 * two-watched-literal unit propagation (the watched pair lives in
   solver-owned side arrays, never inside the clause lists — so clause
-  lists are immutable and shared, see below); binary clauses, the bulk
-  of a Tseitin encoding, sit on per-literal implication lists instead
-  and propagate without any watch bookkeeping,
+  lists are immutable and shared, see below); binary clauses (short
+  input clauses and And-gate definitions) sit on per-literal implication
+  lists instead and propagate without any watch bookkeeping,
 * **CDCL**: first-UIP conflict analysis with clause learning and
   non-chronological backjumping,
 * MiniSat-style VSIDS branching — bump every variable the conflict
@@ -256,7 +256,7 @@ class Solver:
         """Prefer these variables when branching (projection-first search).
 
         The enumeration layer sets the projection variables as priority so
-        every auxiliary (Tseitin) decision happens *after* the projected
+        every auxiliary (gate) decision happens *after* the projected
         assignment is complete — the invariant that makes chronological
         backtracking over projected models duplicate-free.
         """

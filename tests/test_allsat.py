@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic import all_interpretations, parse
 from repro.logic.bitmodels import BitAlphabet
+from repro.logic.cnf import tseitin
 from repro.logic.formula import Var, big_and, big_or, lnot
 from repro.logic.sparse import SparseModelSet
 from repro.sat import (
@@ -28,7 +29,6 @@ from repro.sat import (
     incremental_bit_models,
     models,
 )
-from repro.sat.interface import _Encoding
 
 
 @st.composite
@@ -271,18 +271,24 @@ class TestIncrementalCarrier:
         incremental = incremental_bit_models(
             new_formula, alphabet, old_formula, old_bits
         )
-        encoding = _Encoding()
-        encoding.add_formula(new_formula)
-        projection = [encoding.var(name) for name in alphabet.letters]
+        # Built from the two-sided Tseitin clauses directly, so the
+        # reference shares no encoder with the code under test: letter
+        # ``i`` of the alphabet is solver variable ``i + 1``.
+        index_of = {name: i + 1 for i, name in enumerate(alphabet.letters)}
+        instance = CnfInstance(len(index_of))
+        for clause in tseitin(new_formula).clauses:
+            ints = []
+            for name, positive in sorted(clause):
+                if name not in index_of:
+                    index_of[name] = instance.new_var()
+                ints.append(index_of[name] if positive else -index_of[name])
+            instance.add_clause(ints)
+        projection = list(range(1, len(alphabet.letters) + 1))
         reference = set()
-        for projected in enumerate_models_blocking(
-            encoding.instance, projection
-        ):
-            mask = 0
-            for lit in projected:
-                if lit > 0:
-                    mask |= 1 << alphabet.bit(encoding.name_of[lit])
-            reference.add(mask)
+        for projected in enumerate_models_blocking(instance, projection):
+            reference.add(
+                sum(1 << (lit - 1) for lit in projected if lit > 0)
+            )
         assert set(incremental.masks) == reference
 
     def test_restriction_stream_enumerates_no_delta(self):

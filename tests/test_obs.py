@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cli, obs, runtime
-from repro.logic import bitmodels, land, lnot, lor, shards, sparse, var
+from repro.logic import bitmodels, land, lnot, lor, parse, shards, sparse, var
 from repro.obs import metrics as obs_metrics
 from repro.revision import revise
 from repro.runtime import faults
@@ -506,6 +506,45 @@ def test_satoh_delta_names_its_min_subset_kernel():
     attrs = kernels[0]["attrs"]
     assert 0 < attrs["kept"] <= attrs["rows"]
     assert not kernels[0]["children"]
+
+
+def test_sat_encode_spans_nest_under_their_callers():
+    """Every SAT-tier compile, count and incremental compile opens a
+    ``sat.encode`` child reporting the instance size and the clausal /
+    gate split — encoding is a named layer, not dark time."""
+    from repro.sat import bit_models, count_models, incremental_bit_models
+
+    letters = [f"x{i}" for i in range(6)]
+    clausal = parse("(x0 | ~x1) & (x2 | x3 | ~x4) & x5")
+    mixed = land(clausal, parse("(x0 & x1) | (x2 & x3)"))
+    with _forced_sparse_tiers():
+        handle, path = tempfile.mkstemp(suffix=".jsonl")
+        os.close(handle)
+        try:
+            obs.configure(path)
+            try:
+                old_bits = bit_models(clausal, letters)
+                count_models(mixed, letters)
+                incremental_bit_models(mixed, letters, clausal, old_bits)
+            finally:
+                obs.close()
+            events = obs.load_events(path)
+        finally:
+            os.unlink(path)
+    _, spans = _check_forest(events)
+    encodes = [s for s in spans.values() if s["name"] == "sat.encode"]
+    parents = sorted(spans[s["par"]]["name"] for s in encodes)
+    assert parents == [
+        "compile", "sat.count", "sat.incremental", "sat.incremental",
+    ]
+    for record in encodes:
+        assert {"vars", "clauses", "clausal", "gates"} <= set(record["attrs"])
+    by_parent = {spans[s["par"]]["name"]: s["attrs"] for s in encodes}
+    assert by_parent["compile"]["clausal"] == 3
+    assert by_parent["compile"]["gates"] == 0
+    assert by_parent["compile"]["vars"] == 6
+    assert by_parent["sat.count"]["clausal"] == 3
+    assert by_parent["sat.count"]["gates"] == 2
 
 
 def test_trace_off_registry_stays_silent():

@@ -467,10 +467,10 @@ class TestTierDemotion:
         ])
         with forced_tiers(table_max=0, shard_max=10):
             baseline = bit_models(formula, names)
-            before = runtime.STATS.get("demotions:sharded->masks", 0)
+            before = runtime.STATS.get("demotions:sharded->sat", 0)
             faults.reset("shard-compile-oom@1")
             demoted = bit_models(formula, names)
-            assert runtime.STATS["demotions:sharded->masks"] == before + 1
+            assert runtime.STATS["demotions:sharded->sat"] == before + 1
         assert set(demoted.masks) == set(baseline.masks)
 
     def test_warm_defers_tier_forcing_on_oom(self, monkeypatch):

@@ -1,13 +1,40 @@
 """Tests for the SAT substrate: solver, enumeration, formula interface."""
 
+import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.logic import FALSE, TRUE, all_interpretations, land, lnot, lor, parse, var
+import repro
+from repro.hardness import clause_family
+from repro.logic import (
+    FALSE,
+    TRUE,
+    And,
+    BitAlphabet,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    Xor,
+    all_interpretations,
+    bitmodels,
+    land,
+    lnot,
+    lor,
+    parse,
+    shards,
+    var,
+)
 from repro.sat import (
     CnfInstance,
     Solver,
+    bit_models,
     count_models,
     entails,
     enumerate_models,
@@ -20,6 +47,7 @@ from repro.sat import (
     satisfies,
     write_dimacs,
 )
+from repro.sat.interface import _Encoding
 
 
 class TestSolverCore:
@@ -232,6 +260,143 @@ class TestFormulaInterface:
             f.evaluate(m) for m in all_interpretations(sorted(f.variables()))
         )
         assert is_satisfiable(f) == expected
+
+
+@contextlib.contextmanager
+def sat_tier_only():
+    """Route every projected query past the dense tiers onto the solver."""
+    saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
+    bitmodels._TABLE_MAX_LETTERS = 0
+    shards.SHARD_MAX_LETTERS = 0
+    try:
+        yield
+    finally:
+        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
+
+
+_ENCODER_LETTERS = ["a", "b", "c", "d", "e", "f"]
+_atoms = st.sampled_from(_ENCODER_LETTERS).map(Var)
+_literals = _atoms | _atoms.map(Not)
+#: Clauses, including the empty Or and duplicate or complementary literals.
+_clauses = st.lists(_literals, max_size=4).map(Or)
+_cubes = st.lists(_literals, min_size=1, max_size=3).map(And)
+_compound = st.recursive(
+    _literals | st.just(TRUE) | st.just(FALSE),
+    lambda kids: st.tuples(kids, kids).map(lambda p: Iff(*p))
+    | st.tuples(kids, kids).map(lambda p: Xor(*p))
+    | st.tuples(kids, kids).map(lambda p: Implies(*p))
+    | st.lists(kids, max_size=3).map(And)
+    | st.lists(kids, max_size=3).map(Or)
+    | kids.map(Not),
+    max_leaves=8,
+)
+#: Raw (unflattened) conjunctions of clauses, cubes and compound parts.
+_encoder_formulas = st.recursive(
+    st.one_of(_clauses, _clauses, _cubes, _compound),
+    lambda kids: st.lists(kids, max_size=4).map(And),
+    max_leaves=8,
+)
+#: Projections may drop formula letters and add letters it never mentions.
+_projections = st.lists(
+    st.sampled_from(_ENCODER_LETTERS + ["g", "h"]), unique=True, max_size=8
+)
+
+
+def _projected_truth(formula, names):
+    """Models of ``formula`` projected onto ``names``, by truth table."""
+    keep = frozenset(names)
+    letters = sorted(formula.variables() | keep)
+    return {
+        model & keep
+        for model in all_interpretations(letters)
+        if formula.evaluate(model)
+    }
+
+
+class TestClausalEncoding:
+    @given(
+        formula=_encoder_formulas,
+        names=_projections,
+        limit=st.integers(min_value=0, max_value=4),
+    )
+    # Inner gates of every kind under an asserted Or.
+    @example(formula=parse("(a & (b | c)) | d"), names=["a", "c", "d"], limit=2)
+    @example(formula=parse("(a <-> (b | ~c)) & (e | f)"), names=["a", "b"], limit=0)
+    @settings(max_examples=300, deadline=None)
+    def test_sat_tier_matches_truth_table(self, formula, names, limit):
+        expected = _projected_truth(formula, names)
+        alphabet = BitAlphabet.coerce(names)
+        with sat_tier_only():
+            masks = list(bit_models(formula, alphabet).iter_masks())
+            listed = list(models(formula, names))
+            limited = list(models(formula, names, limit=limit or None))
+            count = count_models(formula, names)
+            capped = count_models(formula, names, limit=limit)
+        assert sorted(masks) == sorted(set(masks))
+        assert {alphabet.set_of(mask) for mask in masks} == expected
+        assert len(listed) == len(expected) and set(listed) == expected
+        assert len(set(limited)) == len(limited)
+        assert set(limited) <= expected
+        assert len(limited) == (
+            min(limit, len(expected)) if limit else len(expected)
+        )
+        assert count == len(expected)
+        assert capped == min(limit, len(expected))
+        assert is_satisfiable(formula) == bool(expected)
+
+    def test_clauses_skip_gates_and_sort_by_name(self):
+        encoding = _Encoding()
+        encoding.add_formula(land(lor(var("c"), lnot(var("a")), var("b")), var("d")))
+        assert encoding.instance.clauses == [[-1, 2, 3], [4]]
+        assert encoding.name_of == {1: "a", 2: "b", 3: "c", 4: "d"}
+        assert (encoding.clausal, encoding.gates) == (2, 0)
+
+    def test_non_clausal_rest_is_one_sided(self):
+        encoding = _Encoding()
+        encoding.add_formula(parse("(a & b) | (c & d)"))
+        a, b = encoding.var("a"), encoding.var("b")
+        c, d = encoding.var("c"), encoding.var("d")
+        first, second = 3, 6  # gates follow their children's letters
+        assert encoding.instance.clauses == [
+            [-first, a], [-first, b], [-second, c], [-second, d],
+            [first, second],
+        ]
+        assert (encoding.clausal, encoding.gates) == (0, 2)
+
+    def test_clause_family_theory_encodes_without_gates(self):
+        workload = clause_family.build(32, 64, 64, seed=7)
+        encoding = _Encoding()
+        encoding.add_formula(workload.t_formula)
+        assert encoding.instance.num_vars == 32
+        assert len(encoding.instance.clauses) == workload.clause_counts[0]
+        assert encoding.clausal == workload.clause_counts[0]
+        assert encoding.gates == 0
+
+    def test_clause_lists_do_not_depend_on_hash_seed(self):
+        script = (
+            "import json\n"
+            "from repro.hardness import clause_family\n"
+            "from repro.logic import land, parse\n"
+            "from repro.sat.interface import _Encoding\n"
+            "wl = clause_family.build(10, 8, 8, seed=4)\n"
+            "enc = _Encoding()\n"
+            "enc.add_formula(land(wl.t_formula,"
+            " parse('(v000 <-> s00) | ~(v001 & z)')))\n"
+            "enc.add_formula_unasserted(wl.p_formula)\n"
+            "print(json.dumps([enc.instance.clauses,"
+            " sorted(enc.index_of.items())]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for seed in ("1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outputs[0] == outputs[1]
+        clauses, letters = json.loads(outputs[0])
+        assert clauses and letters
 
 
 class TestDimacs:
