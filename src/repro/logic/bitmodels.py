@@ -23,7 +23,7 @@ against the whole antichain is a handful of big-int ANDs.  Every
 whole-family min⊆/max⊆ in the engine, on every tier and backend, runs
 this kernel.
 
-**Level 2 — model sets as truth tables.**  Over ``n ≤ ~20`` letters a whole
+**Level 2 — model sets as truth tables.**  Over small alphabets a whole
 *set* of interpretations is a single big-int of ``2^n`` bits: bit ``j`` is
 set iff the interpretation with mask ``j`` is in the set.  In this encoding
 
@@ -40,9 +40,10 @@ set iff the interpretation with mask ``j`` is in the set.  In this encoding
   (:func:`minimal_elements_table`), and Hamming balls grow one ring at a
   time via single-bit flips (:func:`min_hamming_distance_tables`).
 
-The big-int encoding costs ``2^n / 8`` bytes per table, so it is the engine
-of choice up to ``n ≈ 20`` letters (``_TABLE_MAX_LETTERS``: 1 MiB per
-table).
+The big-int encoding costs ``2^n / 8`` bytes per table; it is the engine
+of choice up to ``_TABLE_MAX_LETTERS`` = 12 letters, the largest size at
+which it still beats the sharded bitplanes on both backends
+(``benchmarks/bench_table_crossover.py``).
 
 **Level 3 — sharded truth tables.**  One big-int per table is a memory-and-
 GIL wall, not a hardware one: every AND/XOR re-materialises the whole
@@ -64,7 +65,7 @@ selection rules density-proportionally.
 Dispatch is a three-tier ladder decided by :func:`repro.logic.shards.tier`
 from the letter count alone, reading every cutoff live so env overrides
 are never misreported: big-int tables up to ``_TABLE_MAX_LETTERS``
-(default 20, env ``REPRO_TABLE_MAX_LETTERS``), sharded tables up to
+(default 12, env ``REPRO_TABLE_MAX_LETTERS``), sharded tables up to
 ``shards.SHARD_MAX_LETTERS`` (default 26, env ``REPRO_SHARD_MAX_LETTERS``),
 and the sparse carrier beyond, which is also where a selection goes when a
 bitplane allocation runs out of memory.  Past the shard cutoff the model
@@ -93,9 +94,12 @@ from .formula import And, Formula, Iff, Implies, Not, Or, Top, Var, Xor, _Consta
 
 #: Above this many letters the ``2^n``-bit big-int encoding hands over to
 #: the sharded tier (:mod:`repro.logic.shards`), and beyond that to the
-#: sparse carrier (:mod:`repro.logic.sparse`).  Env-overridable so
-#: harnesses can force the sharded tier onto small alphabets.
-_TABLE_MAX_LETTERS = int(os.environ.get("REPRO_TABLE_MAX_LETTERS", "20"))
+#: sparse carrier (:mod:`repro.logic.sparse`).  12 is the measured
+#: crossover: compile plus selection of all six operators is faster on
+#: sharded bitplanes from 13 letters on numpy (3.6-25x at 16-20 letters)
+#: and from 18 on pure ints (``benchmarks/bench_table_crossover.py``).
+#: Env-overridable so harnesses can force either tier onto an alphabet.
+_TABLE_MAX_LETTERS = int(os.environ.get("REPRO_TABLE_MAX_LETTERS", "12"))
 
 #: For each byte value, the positions of its set bits — used to stream the
 #: set bits of a big-int without quadratic shifting.
@@ -357,7 +361,10 @@ def truth_table(formula: Formula, alphabet: "BitAlphabet | Iterable[str]") -> in
         memo[id(node)] = result
         return result
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # the recursive closure is a cycle holding every table
 
 
 def evaluate_mask(
@@ -393,7 +400,10 @@ def evaluate_mask(
             return node.value
         raise TypeError(f"cannot evaluate {type(node).__name__} on a mask")
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # break the closure's self-reference cycle
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,8 @@ Satoh's reachable set.
 layers share.  It picks one of three tiers by letter count alone:
 
 * ``"table"`` — big-int truth tables, up to
-  ``bitmodels._TABLE_MAX_LETTERS`` letters;
+  ``bitmodels._TABLE_MAX_LETTERS`` letters (12 unless
+  ``REPRO_TABLE_MAX_LETTERS`` says otherwise);
 * ``"sharded"`` — this module, up to :data:`SHARD_MAX_LETTERS` (26 unless
   ``REPRO_SHARD_MAX_LETTERS`` says otherwise);
 * ``"sparse"`` — the density-proportional model-mask carrier of
@@ -156,11 +157,13 @@ _WORD_FULL = (1 << WORD_BITS) - 1
 def tier(letter_count: int) -> str:
     """Which engine tier handles ``letter_count`` letters.
 
-    ``"table"`` up to ``bitmodels._TABLE_MAX_LETTERS``, ``"sharded"`` up to
-    :data:`SHARD_MAX_LETTERS`, ``"sparse"`` beyond.  Both cutoffs are read
-    at call time, so env overrides (``REPRO_TABLE_MAX_LETTERS``,
-    ``REPRO_SHARD_MAX_LETTERS``) and runtime retargeting by tests and
-    benchmark harnesses are always reported faithfully.
+    ``"table"`` up to ``bitmodels._TABLE_MAX_LETTERS`` (default 12, the
+    measured table/sharded crossover), ``"sharded"`` up to
+    :data:`SHARD_MAX_LETTERS` (default 26), ``"sparse"`` beyond.  Both
+    cutoffs are read at call time, so env overrides
+    (``REPRO_TABLE_MAX_LETTERS``, ``REPRO_SHARD_MAX_LETTERS``) and runtime
+    retargeting by tests and benchmark harnesses are always reported
+    faithfully.
 
     The answer is the *preferred* tier.  When a bitplane allocation fails
     (a real ``MemoryError`` or a :class:`repro.runtime.MemoryBudgetExceeded`
@@ -302,7 +305,10 @@ def _compile_one_shard(
         memo[id(node)] = result
         return result
 
-    return walk(formula)
+    try:
+        return walk(formula)
+    finally:
+        del walk  # the recursive closure is a cycle holding every shard
 
 
 def map_shards(
@@ -1086,7 +1092,12 @@ def _numpy_compile(formula: Formula, alphabet: BitAlphabet):
             return _np.full(nwords, value)
         raise TypeError(f"cannot compile {type(node).__name__} to a truth table")
 
-    words = walk(formula)
+    try:
+        words = walk(formula)
+    finally:
+        # The recursive closure is a reference cycle that would keep every
+        # column plane alive until the cyclic collector next runs.
+        del walk
     if words.base is not None or any(words is col for col in columns.values()):
         words = words.copy()
     table = ShardedTable(alphabet, words=words)

@@ -543,7 +543,10 @@ def evaluate_formula(formula, model_set: "SparseModelSet"):
             memo[id(node)] = result
             return result
 
-        return walk(formula)
+        try:
+            return walk(formula)
+        finally:
+            del walk  # the recursive closure is a cycle holding the memo
 
     # Pure-int fallback: one shared mask-level recursion per model
     # (:func:`repro.logic.bitmodels.evaluate_mask` — a single source of

@@ -9,7 +9,7 @@ therefore a first-class object distinct from its conjunction ``∧T``.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple, Union
 
 from .formula import Formula, FormulaLike, as_formula, big_and
 from .parser import parse
@@ -26,7 +26,7 @@ class Theory:
     hashing treat the theory as a set, as in the paper.
     """
 
-    __slots__ = ("_formulas", "_fset")
+    __slots__ = ("_formulas", "_fset", "_conjunction")
 
     def __init__(self, formulas: Iterable[FormulaLike] = ()) -> None:
         seen: dict[Formula, None] = {}
@@ -34,6 +34,7 @@ class Theory:
             seen[as_formula(raw)] = None
         self._formulas: Tuple[Formula, ...] = tuple(seen)
         self._fset: FrozenSet[Formula] = frozenset(seen)
+        self._conjunction: Optional[Formula] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -86,8 +87,14 @@ class Theory:
     # -- theory operations ----------------------------------------------------
 
     def conjunction(self) -> Formula:
-        """``∧T`` — the conjunction of all member formulas (TRUE if empty)."""
-        return big_and(self._formulas)
+        """``∧T`` — the conjunction of all member formulas (TRUE if empty).
+
+        Built once: a theory is immutable, and callers key caches by this
+        formula, so one object keeps its hash and ``variables()`` cached.
+        """
+        if self._conjunction is None:
+            self._conjunction = big_and(self._formulas)
+        return self._conjunction
 
     def variables(self) -> FrozenSet[str]:
         """``V(T)`` — all letters occurring in the theory."""

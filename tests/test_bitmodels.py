@@ -42,6 +42,7 @@ from repro.revision import (
     revise,
 )
 from repro.sat import bit_models
+from conftest import forced_tiers
 
 LETTERS = ["a", "b", "c", "d", "e"]
 
@@ -343,8 +344,6 @@ class TestEngineEquivalence:
     def test_table_and_mask_selection_paths_agree(self, t_masks, p_masks, name):
         """Every tier's encoding of every selection rule — big-int table,
         sharded bitplane, sparse mask carrier — matches the reference."""
-        from repro.logic import shards
-
         operator = get_operator(name)
         alphabet = BitAlphabet(LETTERS)
         reference = reference_select(
@@ -353,19 +352,15 @@ class TestEngineEquivalence:
             BitModelSet(alphabet, p_masks).to_frozensets(),
         )
         size = len(LETTERS)
-        saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
-        try:
-            for tier, cutoffs in (
-                ("table", (size, size)), ("sharded", (0, size)), ("sparse", (0, 0))
-            ):
-                bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = cutoffs
+        for tier, cutoffs in (
+            ("table", (size, size)), ("sharded", (0, size)), ("sparse", (0, 0))
+        ):
+            with forced_tiers(*cutoffs):
                 selected, label = operator._select_bits_tiered(
                     BitModelSet(alphabet, t_masks), BitModelSet(alphabet, p_masks)
                 )
-                assert label == (tier if t_masks and p_masks else "degenerate")
-                assert selected.to_frozensets() == reference, tier
-        finally:
-            bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
+            assert label == (tier if t_masks and p_masks else "degenerate")
+            assert selected.to_frozensets() == reference, tier
 
     def test_iterated_revision_matches_pairwise_reference(self):
         t = parse("a & b & c")

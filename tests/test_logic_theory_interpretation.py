@@ -45,6 +45,10 @@ class TestTheory:
         assert t.conjunction() == land(parse("a"), parse("b | c"))
         assert t.variables() == frozenset("abc")
 
+    def test_conjunction_is_built_once(self):
+        t = Theory.parse_many("a", "b | c")
+        assert t.conjunction() is t.conjunction()
+
     def test_size_sums_members(self):
         t = Theory.parse_many("a & a", "b")
         assert t.size() == 3

@@ -32,12 +32,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cli, obs, runtime
-from repro.logic import bitmodels, land, lnot, lor, parse, shards, sparse, var
+from repro.logic import land, lnot, lor, parse, sparse, var
 from repro.obs import metrics as obs_metrics
 from repro.revision import revise
 from repro.runtime import faults
 from repro.runtime import pool as rpool
 from repro.sat import allsat
+from conftest import forced_tiers
 
 
 @pytest.fixture(autouse=True)
@@ -362,6 +363,36 @@ class TestWorkerTelemetry:
             > merges_before
         )
 
+    def test_service_parse_span_nests_under_the_request(self, tmp_path):
+        # The service worker's capture/merge cycle, run in-process: each
+        # request's parse and work spans land under the request span, and
+        # the parse span says whether the worker's memo served the texts.
+        from repro.revision.batch import BatchCache
+        from repro.service.worker import ParseMemo, _execute
+
+        path = str(tmp_path / "trace.jsonl")
+        cache, memo = BatchCache(), ParseMemo()
+        frame = {"kind": "revise", "theory": ["a & b"], "updates": ["~a"]}
+        obs.configure(path)
+        try:
+            for _ in range(2):
+                token = obs.worker_capture_begin()
+                response = _execute(cache, memo, dict(frame))
+                envelope = obs.worker_capture_end(token)
+                assert response["status"] == "ok"
+                with obs.span("service.request"):
+                    obs.merge_worker(envelope)
+        finally:
+            obs.close()
+        roots, _, diagnostics = obs.build_forest(obs.load_events(path))
+        assert diagnostics == {"unmatched_exits": 0, "unclosed": 0}
+        assert [root["name"] for root in roots] == ["service.request"] * 2
+        for root, cached in zip(roots, (False, True)):
+            children = root["children"]
+            assert [c["name"] for c in children] == [
+                "service.parse", "service.work"]
+            assert children[0]["attrs"]["cached"] is cached
+
 
 # ---------------------------------------------------------------------------
 # Span trees from real revisions (hypothesis)
@@ -400,17 +431,6 @@ def _dnf_formulas(draw):
             for term in terms
         ]
     )
-
-
-@contextlib.contextmanager
-def _forced_sparse_tiers():
-    saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
-    bitmodels._TABLE_MAX_LETTERS = 0
-    shards.SHARD_MAX_LETTERS = 0
-    try:
-        yield
-    finally:
-        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
 
 
 @contextlib.contextmanager
@@ -453,7 +473,7 @@ def test_traced_revise_span_tree(backend, theory, update):
     tier attribution matches ``engine_tier``, with identical masks."""
     stack = contextlib.ExitStack()
     with stack:
-        stack.enter_context(_forced_sparse_tiers())
+        stack.enter_context(forced_tiers(0, 0))
         if backend == "int":
             stack.enter_context(_int_backend())
         untraced = revise(theory, update, operator="dalal")
@@ -482,7 +502,7 @@ def test_satoh_delta_names_its_min_subset_kernel():
     x = [var(f"x{i}") for i in range(8)]
     theory = lor(land(*x[:4]), land(*x[4:]))
     update = lor(land(lnot(x[0]), x[5]), land(lnot(x[4]), x[1]))
-    with _forced_sparse_tiers():
+    with forced_tiers(0, 0):
         handle, path = tempfile.mkstemp(suffix=".jsonl")
         os.close(handle)
         try:
@@ -517,7 +537,7 @@ def test_sat_encode_spans_nest_under_their_callers():
     letters = [f"x{i}" for i in range(6)]
     clausal = parse("(x0 | ~x1) & (x2 | x3 | ~x4) & x5")
     mixed = land(clausal, parse("(x0 & x1) | (x2 & x3)"))
-    with _forced_sparse_tiers():
+    with forced_tiers(0, 0):
         handle, path = tempfile.mkstemp(suffix=".jsonl")
         os.close(handle)
         try:

@@ -22,7 +22,6 @@ import contextlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.logic import bitmodels
 from repro.logic import shards
 from repro.logic.bitmodels import (
     BitAlphabet,
@@ -30,6 +29,7 @@ from repro.logic.bitmodels import (
     xor_translate_table,
 )
 from repro.logic.shards import ShardedTable, pointwise_select, translate_union
+from conftest import forced_tiers
 
 LETTERS = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]
 
@@ -38,16 +38,6 @@ BACKENDS = ["int"] + (["numpy"] if shards._np is not None else [])
 VARIANTS = [(backend, None) for backend in BACKENDS] + [("int", 64), ("int", 256)]
 
 KINDS = ["minimal", "ring", "union"]
-
-
-@contextlib.contextmanager
-def sharded_tier(table_max=1):
-    saved = bitmodels._TABLE_MAX_LETTERS
-    bitmodels._TABLE_MAX_LETTERS = table_max
-    try:
-        yield
-    finally:
-        bitmodels._TABLE_MAX_LETTERS = saved
 
 
 @contextlib.contextmanager
@@ -217,7 +207,7 @@ class TestOperatorsUnderFanout:
         os.environ["REPRO_PARALLEL"] = "2"
         os.environ["REPRO_PARALLEL_BLOCK"] = "2"
         try:
-            with sharded_tier():
+            with forced_tiers(table_max=1):
                 fanned = revise(t, p, name)
         finally:
             for key, value in saved.items():

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import runtime
-from repro.logic import bitmodels, shards, sparse
+from repro.logic import sparse
 from repro.logic.bitmodels import BitAlphabet, BitModelSet
 from repro.logic.formula import Var, big_and, big_or, lnot
 from repro.logic.shards import ShardedTable, pointwise_select
@@ -35,6 +35,7 @@ from repro.runtime import faults
 from repro.runtime import pool as rpool
 from repro.sat import CnfInstance, bit_models, enumerate_models_blocking
 from repro.sat.allsat import CubeStream
+from conftest import forced_tiers
 
 
 @pytest.fixture(autouse=True)
@@ -42,17 +43,6 @@ def disarm_faults():
     """Every test leaves the fault registry disarmed and counters clean."""
     yield
     faults.reset("")
-
-
-@contextlib.contextmanager
-def forced_tiers(table_max=0, shard_max=0):
-    saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
-    bitmodels._TABLE_MAX_LETTERS = table_max
-    shards.SHARD_MAX_LETTERS = shard_max
-    try:
-        yield
-    finally:
-        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
 
 
 @contextlib.contextmanager

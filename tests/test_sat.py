@@ -1,6 +1,5 @@
 """Tests for the SAT substrate: solver, enumeration, formula interface."""
 
-import contextlib
 import io
 import json
 import os
@@ -23,12 +22,10 @@ from repro.logic import (
     Var,
     Xor,
     all_interpretations,
-    bitmodels,
     land,
     lnot,
     lor,
     parse,
-    shards,
     var,
 )
 from repro.sat import (
@@ -48,6 +45,7 @@ from repro.sat import (
     write_dimacs,
 )
 from repro.sat.interface import _Encoding
+from conftest import forced_tiers
 
 
 class TestSolverCore:
@@ -262,18 +260,6 @@ class TestFormulaInterface:
         assert is_satisfiable(f) == expected
 
 
-@contextlib.contextmanager
-def sat_tier_only():
-    """Route every projected query past the dense tiers onto the solver."""
-    saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
-    bitmodels._TABLE_MAX_LETTERS = 0
-    shards.SHARD_MAX_LETTERS = 0
-    try:
-        yield
-    finally:
-        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
-
-
 _ENCODER_LETTERS = ["a", "b", "c", "d", "e", "f"]
 _atoms = st.sampled_from(_ENCODER_LETTERS).map(Var)
 _literals = _atoms | _atoms.map(Not)
@@ -326,7 +312,7 @@ class TestClausalEncoding:
     def test_sat_tier_matches_truth_table(self, formula, names, limit):
         expected = _projected_truth(formula, names)
         alphabet = BitAlphabet.coerce(names)
-        with sat_tier_only():
+        with forced_tiers(0, 0):  # every projected query on the solver
             masks = list(bit_models(formula, alphabet).iter_masks())
             listed = list(models(formula, names))
             limited = list(models(formula, names, limit=limit or None))

@@ -33,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro import runtime
 from repro.hardness import sparse_family
 from repro.logic.formula import as_formula
+from repro.logic.parser import ParseError
 from repro.logic.printer import to_str
 from repro.logic.theory import Theory
 from repro.revision.batch import BatchCache
@@ -46,6 +47,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.frontend import STATS
+from repro.service.worker import PARSE_MEMO_ENTRIES, ParseMemo
 
 
 @pytest.fixture(autouse=True)
@@ -191,6 +193,45 @@ class TestFaultFreeServing:
             assert first.masks == again.masks
             # Same worker, same BatchCache: the chain memo served it.
             assert first.worker_pid == again.worker_pid
+
+    def test_malformed_theory_is_a_typed_error_not_a_death(self):
+        with RevisionService(_fast_config()) as service:
+            client = ServiceClient(service, timeout=60)
+            broken = client.revise("kb-m", "a & (b", ("~a",))
+            served = client.revise("kb-m", "a & b", ("~a",))
+        assert broken.status == "error"
+        assert "ParseError" in broken.error
+        assert STATS["worker_deaths"] == 0
+        assert STATS["breaker_opens"] == 0
+        assert served.status == "ok", served.error
+        assert served.masks == _direct_masks("a & b", ("~a",))[0]
+
+
+class TestParseMemo:
+    def test_repeated_text_maps_to_the_same_objects(self):
+        memo = ParseMemo()
+        theory, first_hit = memo.theory(("a & b", "c"))
+        again, second_hit = memo.theory(("a & b", "c"))
+        assert again is theory and (first_hit, second_hit) == (False, True)
+        update, _ = memo.formula("~a")
+        assert memo.formula("~a") == (update, True)
+
+    def test_parse_failures_are_not_memoised(self):
+        memo = ParseMemo()
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                memo.theory(("a & (b",))
+            with pytest.raises(ParseError):
+                memo.formula("~a &")
+        assert len(memo) == 0
+
+    def test_memo_is_bounded_and_evicts_the_oldest(self):
+        memo = ParseMemo()
+        for index in range(PARSE_MEMO_ENTRIES + 3):
+            memo.formula(f"x{index}")
+        assert len(memo) == PARSE_MEMO_ENTRIES
+        assert memo.formula(f"x{PARSE_MEMO_ENTRIES + 2}")[1] is True
+        assert memo.formula("x0")[1] is False
 
 
 class TestCrashAndHangRecovery:

@@ -15,13 +15,11 @@ Four layers of assurance:
   answer count/membership/emptiness without materialising masks.
 """
 
-import contextlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import Theory, land, lnot, lor, var
-from repro.logic import bitmodels
 from repro.logic import shards
 from repro.logic.bitmodels import (
     BitAlphabet,
@@ -37,6 +35,7 @@ from repro.logic.bitmodels import (
     xor_translate_table,
 )
 from repro.logic.shards import ShardedTable
+from conftest import forced_tiers
 
 LETTERS = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]
 
@@ -47,17 +46,6 @@ BACKENDS = ["int"] + (["numpy"] if shards._np is not None else [])
 #: (backend, shard_bits) combinations; shard_bits=64 forces multi-shard
 #: pure-int tables at 7+ letters so the cross-shard swaps/shifts run.
 VARIANTS = [(backend, None) for backend in BACKENDS] + [("int", 64), ("int", 256)]
-
-
-@contextlib.contextmanager
-def sharded_tier(table_max=1):
-    """Force the engine dispatch onto the sharded tier for small alphabets."""
-    saved = bitmodels._TABLE_MAX_LETTERS
-    bitmodels._TABLE_MAX_LETTERS = table_max
-    try:
-        yield
-    finally:
-        bitmodels._TABLE_MAX_LETTERS = saved
 
 
 def formulas(letters, max_leaves=8):
@@ -294,7 +282,7 @@ class TestShardedTierDispatch:
 
         name = data.draw(st.sampled_from(sorted(MODEL_BASED_NAMES)))
         t, p = _random_tp(seed, letter_count)
-        with sharded_tier():
+        with forced_tiers(table_max=1):
             result = revise(t, p, name)
             if len(result.alphabet) > 1 and result.is_consistent():
                 # Non-degenerate results over alphabets past the (forced)
@@ -309,7 +297,7 @@ class TestShardedTierDispatch:
 
         t, p = _random_tp(7, 6)
         reference = bit_models(t, LETTERS[:6])
-        with sharded_tier():
+        with forced_tiers(table_max=1):
             sharded = bit_models(t, LETTERS[:6])
             assert sharded._sharded is not None
         assert sharded == reference
@@ -320,7 +308,7 @@ class TestShardedTierDispatch:
 
         t, p = _random_tp(11, 6)
         reference = minimum_distance(Theory([t]), p)
-        with sharded_tier():
+        with forced_tiers(table_max=1):
             assert minimum_distance(Theory([t]), p) == reference
 
     def test_delta_bits_sharded_tier(self):
@@ -330,7 +318,7 @@ class TestShardedTierDispatch:
         t, p = _random_tp(23, 6)
         alphabet = BitAlphabet(LETTERS[:6])
         reference = delta_bits(bit_models(t, alphabet), bit_models(p, alphabet))
-        with sharded_tier():
+        with forced_tiers(table_max=1):
             t_bits = bit_models(t, alphabet)
             p_bits = bit_models(p, alphabet)
             assert delta_bits(t_bits, p_bits) == reference
@@ -342,10 +330,74 @@ class TestShardedTierDispatch:
         reference = revise(t, p, "dalal")
         query = lor(var("a"), lnot(var("b")))
         expected = reference.entails(query)
-        with sharded_tier():
+        with forced_tiers(table_max=1):
             result = revise(t, p, "dalal")
             assert result.entails(query) == expected
             assert result.model_count() == reference.model_count()
+
+
+def _service_shaped_pair(letter_count, seed):
+    """A KB of 8 cubes over all but 3 free letters (pinned into the
+    alphabet by tautologies) and a 4-cube update, as the service serves."""
+    from repro.hardness import sparse_family
+
+    kb = sparse_family.build(letter_count, 8, 1, seed=seed, free_letters=3)
+    update = sparse_family.build(letter_count, 1, 4, seed=seed + 1,
+                                 free_letters=3)
+    free = [lor(var(name), lnot(var(name))) for name in kb.letters[:3]]
+    return Theory([kb.t_formula] + free), update.p_formula
+
+
+class TestTableShardedParity:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("letter_count", [13, 16, 20])
+    def test_default_sharded_tier_matches_table_tier(
+        self, letter_count, backend, monkeypatch
+    ):
+        # 13-20 letters select on sharded bitplanes by default; forcing
+        # the table cutoff back to 20 must not change a single mask.
+        from repro.logic import sparse
+        from repro.revision import MODEL_BASED_NAMES, revise
+
+        if backend == "int":
+            monkeypatch.setattr(shards, "_np", None)
+            monkeypatch.setattr(sparse, "_np", None)
+        theory, update = _service_shaped_pair(letter_count, seed=letter_count)
+        for name in sorted(MODEL_BASED_NAMES):
+            sharded = revise(theory, update, name)
+            with forced_tiers(table_max=20):
+                table = revise(theory, update, name)
+            assert (sharded.engine_tier, table.engine_tier) == (
+                "sharded", "table"), name
+            assert len(sharded.alphabet) == letter_count
+            assert sharded.alphabet == table.alphabet
+            assert (sorted(sharded.bit_model_set.iter_masks())
+                    == sorted(table.bit_model_set.iter_masks())), name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_formula_kernels_leave_no_reference_cycles(backend):
+    # The recursive compile/evaluate walks must free their intermediate
+    # tables when they return: left in a cycle, every plane of a request
+    # stays alive until the cyclic collector happens to run.
+    import gc
+
+    from repro.logic import parse, sparse
+    from repro.logic.bitmodels import evaluate_mask, truth_table
+
+    formula = parse("(a | ~b) & (c -> d) & (a ^ e) & ~(b <-> c)")
+    alphabet = BitAlphabet("abcde")
+    carrier = sparse.SparseModelSet.from_masks(alphabet, [1, 2, 3, 7], backend)
+    gc.collect()
+    gc.disable()
+    try:
+        truth_table(formula, alphabet)
+        evaluate_mask(formula, 5, alphabet)
+        ShardedTable.from_formula(formula, alphabet, backend=backend)
+        sparse.evaluate_formula(formula, carrier)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

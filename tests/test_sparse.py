@@ -44,24 +44,13 @@ from repro.logic.sparse import (
 )
 from repro.revision.distances import delta_masks, omega_mask
 from test_bitmodels import naive_maximal, naive_minimal
+from conftest import forced_tiers
 
 LETTERS = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]
 
 BACKENDS = ["int"] + (["numpy"] if sparse._np is not None else [])
 
 WIDE = BitAlphabet([f"w{i:03d}" for i in range(70)])
-
-
-@contextlib.contextmanager
-def forced_tiers(table_max=0, shard_max=0):
-    """Force the dispatch past the dense tiers onto the sparse carrier."""
-    saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
-    bitmodels._TABLE_MAX_LETTERS = table_max
-    shards.SHARD_MAX_LETTERS = shard_max
-    try:
-        yield
-    finally:
-        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
 
 
 @contextlib.contextmanager
@@ -429,7 +418,7 @@ class TestOperatorEquivalence:
         t, p = _random_tp(seed, 4)
         reference = revise(t, p, name)
         with int_backend():
-            with forced_tiers():
+            with forced_tiers(table_max=0, shard_max=0):
                 on_sparse = revise(t, p, name)
         assert on_sparse.bit_model_set == reference.bit_model_set
 
@@ -449,7 +438,7 @@ class TestOperatorEquivalence:
             backend_ctx = (
                 int_backend() if backend == "int" else contextlib.nullcontext()
             )
-            with backend_ctx, forced_tiers():
+            with backend_ctx, forced_tiers(table_max=0, shard_max=0):
                 t_bits = bit_models(t, letters)
                 p_bits = bit_models(p, letters)
                 assume(min(t_bits.count(), p_bits.count()) >= 2)
@@ -471,7 +460,7 @@ class TestOperatorEquivalence:
         t, p = _random_tp(23, 6)
         alphabet = BitAlphabet(LETTERS[:6])
         reference = delta_bits(bit_models(t, alphabet), bit_models(p, alphabet))
-        with forced_tiers():
+        with forced_tiers(table_max=0, shard_max=0):
             t_bits = bit_models(t, alphabet)
             p_bits = bit_models(p, alphabet)
             assert delta_bits(t_bits, p_bits) == reference
@@ -482,7 +471,7 @@ class TestOperatorEquivalence:
 
         t, p = _random_tp(11, 6)
         reference = minimum_distance(Theory([t]), p)
-        with forced_tiers():
+        with forced_tiers(table_max=0, shard_max=0):
             assert minimum_distance(Theory([t]), p) == reference
 
 

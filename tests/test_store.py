@@ -19,7 +19,6 @@ The robustness contract of :mod:`repro.store`, asserted end to end:
   store serves bit-identical masks *without* SAT enumeration.
 """
 
-import contextlib
 import json
 import multiprocessing
 import os
@@ -28,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import runtime, store
-from repro.logic import bitmodels, shards, sparse
+from repro.logic import sparse
 from repro.logic.bitmodels import BitAlphabet
 from repro.logic.shards import ShardedTable
 from repro.logic.sparse import SparseModelSet
@@ -36,6 +35,7 @@ from repro.revision import batch as batch_mod
 from repro.revision.batch import BatchCache
 from repro.runtime import faults
 from repro.store import format as store_format
+from conftest import forced_tiers
 
 HAS_NUMPY = sparse._np is not None
 
@@ -51,17 +51,6 @@ def clean_slate(monkeypatch):
     yield
     faults.reset("")
     store.reset_active()
-
-
-@contextlib.contextmanager
-def forced_tiers(table_max=0, shard_max=0):
-    saved = (bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS)
-    bitmodels._TABLE_MAX_LETTERS = table_max
-    shards.SHARD_MAX_LETTERS = shard_max
-    try:
-        yield
-    finally:
-        bitmodels._TABLE_MAX_LETTERS, shards.SHARD_MAX_LETTERS = saved
 
 
 def letters_for(count):
