@@ -24,9 +24,10 @@ identical masks (checked outside the timed region).  Two pair shapes:
 
 The table tier *wins* at a size when its compile-plus-select seconds,
 summed over operators and shapes, are below the sharded tier's.  The
-recommended cutoff is the largest size up to which the table tier wins on
-every backend.  Each backend runs in its own subprocess, because the
-backend is chosen at import time::
+recommended cutoff of a backend is the largest size up to which the table
+tier wins on it; ``_TABLE_MAX_LETTERS`` defaults to the numpy one when
+numpy is in use and to the pure-int one otherwise.  Each backend runs in
+its own subprocess, because the backend is chosen at import time::
 
     PYTHONPATH=src python benchmarks/bench_table_crossover.py
     PYTHONPATH=src python benchmarks/bench_table_crossover.py --sizes 8 12 16 20 \\
@@ -187,15 +188,11 @@ def by_operator(records, sizes):
     return table
 
 
-def crossover(summaries, sizes):
-    """Largest size up to which the table tier wins on every backend."""
+def crossover(summary, sizes):
+    """Largest size up to which the table tier wins on one backend."""
     best = None
     for size in sorted(sizes):
-        wins = all(
-            sum(summary[size]["table"]) < sum(summary[size]["sharded"])
-            for summary in summaries.values()
-        )
-        if not wins:
+        if sum(summary[size]["table"]) >= sum(summary[size]["sharded"]):
             break
         best = size
     return best
@@ -279,8 +276,10 @@ def main(argv=None) -> None:
                 compile_s, select_s = summaries[backend][size][tier]
                 cells.append(f"{compile_s:12.4f} + {select_s:11.4f}")
         print(f"{size:4d}  " + "  ".join(cells))
-    cutoff = crossover(summaries, args.sizes)
-    print(f"table tier wins on every backend up to {cutoff} letters")
+    cutoffs = {backend: crossover(summaries[backend], args.sizes)
+               for backend in args.backends}
+    for backend, cutoff in cutoffs.items():
+        print(f"table tier wins on {backend} up to {cutoff} letters")
 
     if args.json_path is not None:
         from bench_revision_perf import load_trajectory
@@ -323,7 +322,7 @@ def main(argv=None) -> None:
                 }
                 for backend in args.backends
             },
-            "table_wins_up_to": cutoff,
+            "table_wins_up_to": cutoffs,
         })
         args.json_path.write_text(json.dumps(trajectory, indent=2) + "\n")
         print(f"appended run {args.label!r} to {args.json_path}")

@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 The engine reads eleven environment knobs, all optional; the sections
 below show each one in context:
 
-* ``REPRO_TABLE_MAX_LETTERS`` — big-int table tier cutoff (default 12);
+* ``REPRO_TABLE_MAX_LETTERS`` — big-int table tier cutoff (default 12 with
+  numpy, 17 without);
 * ``REPRO_SHARD_MAX_LETTERS`` — sharded bitplane tier cutoff (default 26);
   past it the sparse carrier serves;
 * ``REPRO_SHARD_BITS_LOG2`` — pure-int shard width, log2 bits (default 16);
@@ -105,8 +106,9 @@ def main() -> None:
         print(f"  {result.operator_name:<8} -> {models}")
 
     # --- scaling knobs: sharded tier and the parallel fan-out --------------
-    # Past the big-int cutoff (12 letters) model sets live on sharded
-    # truth tables, up to shards.SHARD_MAX_LETTERS (26 by default; env
+    # Past the big-int cutoff (12 letters with numpy, 17 without) model
+    # sets live on sharded truth tables, up to shards.SHARD_MAX_LETTERS
+    # (26 by default; env
     # REPRO_SHARD_MAX_LETTERS overrides, and every cutoff is read live).
     # There the pointwise operators (winslett/forbus/borgida) batch their
     # per-T-model work into multi-model kernels, fanned out over workers:

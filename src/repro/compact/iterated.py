@@ -28,9 +28,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuits.exa import exa
 from ..logic.bitmodels import (
-    _TABLE_MAX_LETTERS,
     BitAlphabet,
     min_hamming_distance_tables,
+    table_affordable,
 )
 from ..logic.formula import Formula, FormulaLike, as_formula, fresh_names, land
 from ..logic.theory import Theory, TheoryLike
@@ -94,10 +94,11 @@ def dalal_iterated(
     """Theorem 5.1: ``Φ_m``, query-equivalent to ``T *D P¹ *D ... *D P^m``.
 
     ``ks`` may supply the per-step minimum distances; otherwise they are
-    computed by the bitmask engine's Hamming-ball chain when the alphabet
-    fits the truth-table encoding, and by probing satisfiability of the
-    partial formula with ``EXA(k, Y_i, Y_{i+1})`` for increasing ``k``
-    (one SAT call per probe) beyond the cutoff.
+    computed by the bitmask engine's Hamming-ball chain while tables over
+    the alphabet are affordable
+    (:func:`repro.logic.bitmodels.table_affordable`), and by probing
+    satisfiability of the partial formula with ``EXA(k, Y_i, Y_{i+1})``
+    for increasing ``k`` (one SAT call per probe) beyond that.
     """
     theory = Theory.coerce(theory)
     formulas = [as_formula(f) for f in new_formulas]
@@ -105,7 +106,7 @@ def dalal_iterated(
         raise ValueError("need at least one revising formula")
     alphabet = _full_alphabet(theory, formulas)
     m = len(formulas)
-    if ks is None and len(alphabet) <= _TABLE_MAX_LETTERS:
+    if ks is None and table_affordable(len(alphabet), len(alphabet)):
         ks = _iterated_ks_bit(theory, formulas)
 
     # Fresh alphabet copies Y1..Ym (each one-to-one with X).

@@ -43,10 +43,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuits.builder import CircuitBuilder
-from ..logic import bitmodels as _bitmodels
 from ..logic.bitmodels import (
     BitAlphabet,
     exists_table,
+    table_affordable,
     truth_table,
 )
 from ..logic.formula import (
@@ -95,16 +95,20 @@ def _p_model_assignments(p_formula: Formula, vp: Sequence[str]):
     """Assignments over ``V(P)`` satisfying ``P`` — the surviving ``F_P(Z)``
     instances after universal expansion (paper: the rest "simplify to ⊤").
 
-    ``P`` compiles once to its truth-table column and each candidate
-    assignment is a single bit test, instead of ``2^|V(P)|`` formula
-    evaluations; the historical smallest-first iteration order is kept so
-    the emitted conjunct order (and hence the built formulas) is unchanged.
+    While the table is affordable ``P`` compiles once to its truth-table
+    column and each candidate assignment is a single byte lookup, instead
+    of ``2^|V(P)|`` formula evaluations; the historical smallest-first
+    iteration order is kept so the emitted conjunct order (and hence the
+    built formulas) is unchanged.
     """
-    if 0 < len(vp) <= _bitmodels._TABLE_MAX_LETTERS:
+    if vp and table_affordable(len(vp), p_formula.node_count()):
         alphabet = BitAlphabet.coerce(vp)
-        table = truth_table(p_formula, alphabet)
+        column = truth_table(p_formula, alphabet).to_bytes(
+            max(1, (1 << len(vp)) >> 3), "little"
+        )
         for zeta in subsets(vp):
-            if table >> alphabet.mask_of(zeta) & 1:
+            mask = alphabet.mask_of(zeta)
+            if column[mask >> 3] >> (mask & 7) & 1:
                 yield zeta
         return
     for zeta in subsets(vp):
@@ -183,25 +187,18 @@ def forbus_step(
     return land(core, *conjuncts)
 
 
-#: Work bound (table bits x node count) for the one-shot feasibility
-#: projection in :func:`satoh_step`; above it the per-assignment SAT probes
-#: remain the fallback.
-_PROJECTION_BUDGET = 1 << 28
-
-
 def _feasible_vp_parts(current: Formula, vp: Sequence[str]):
     """The assignments ``w`` over ``V(P)`` with ``∃M |= current : M∩V(P)=w``.
 
     One truth-table compile plus an existential smoothing of the non-``V(P)``
     letters (:func:`repro.logic.bitmodels.exists_table`) replaces the
-    ``2^|V(P)|`` SAT probes of the naive route.  Returns ``None`` when the
-    combined alphabet is too large for the table tier — the caller then
+    ``2^|V(P)|`` SAT probes of the naive route.  Returns ``None`` when a
+    table over the combined alphabet is not affordable
+    (:func:`repro.logic.bitmodels.table_affordable`) — the caller then
     falls back to probing.
     """
     all_letters = sorted(set(current.variables()) | set(vp))
-    if len(all_letters) > _bitmodels._TABLE_MAX_LETTERS:
-        return None
-    if (1 << len(all_letters)) * max(current.node_count(), 1) > _PROJECTION_BUDGET:
+    if not table_affordable(len(all_letters), current.node_count()):
         return None
     alphabet = BitAlphabet.coerce(all_letters)
     table = truth_table(current, alphabet)

@@ -41,9 +41,11 @@ set iff the interpretation with mask ``j`` is in the set.  In this encoding
   time via single-bit flips (:func:`min_hamming_distance_tables`).
 
 The big-int encoding costs ``2^n / 8`` bytes per table; it is the engine
-of choice up to ``_TABLE_MAX_LETTERS`` = 12 letters, the largest size at
-which it still beats the sharded bitplanes on both backends
-(``benchmarks/bench_table_crossover.py``).
+of choice up to ``_TABLE_MAX_LETTERS`` letters, the largest size at which
+it still beats the sharded tier: 12 on numpy bitplanes, 17 on pure-int
+shards (``benchmarks/bench_table_crossover.py``).  Readers that want a
+truth table for its own sake rather than as a model-set carrier gate on
+a work bound instead (:func:`table_affordable`).
 
 **Level 3 — sharded truth tables.**  One big-int per table is a memory-and-
 GIL wall, not a hardware one: every AND/XOR re-materialises the whole
@@ -65,12 +67,12 @@ selection rules density-proportionally.
 Dispatch is a three-tier ladder decided by :func:`repro.logic.shards.tier`
 from the letter count alone, reading every cutoff live so env overrides
 are never misreported: big-int tables up to ``_TABLE_MAX_LETTERS``
-(default 12, env ``REPRO_TABLE_MAX_LETTERS``), sharded tables up to
-``shards.SHARD_MAX_LETTERS`` (default 26, env ``REPRO_SHARD_MAX_LETTERS``),
-and the sparse carrier beyond, which is also where a selection goes when a
-bitplane allocation runs out of memory.  Past the shard cutoff the model
-sets come from the incremental AllSAT enumerator of
-:mod:`repro.sat.allsat` (resumable CDCL search emitting don't-care
+(default 12 with numpy, 17 without, env ``REPRO_TABLE_MAX_LETTERS``),
+sharded tables up to ``shards.SHARD_MAX_LETTERS`` (default 26, env
+``REPRO_SHARD_MAX_LETTERS``), and the sparse carrier beyond, which is also
+where a selection goes when a bitplane allocation runs out of memory.
+Past the shard cutoff the model sets come from the incremental AllSAT
+enumerator of :mod:`repro.sat.allsat` (resumable CDCL search emitting don't-care
 *cubes* straight into the sparse column blocks).  All callers in
 :mod:`repro.sat.interface` and :mod:`repro.revision` apply the dispatch
 automatically; :class:`BitModelSet` materialises its mask set lazily so
@@ -92,14 +94,32 @@ from repro import runtime as _runtime
 
 from .formula import And, Formula, Iff, Implies, Not, Or, Top, Var, Xor, _Constant
 
+try:  # pragma: no cover - exercised via the CI matrix leg without numpy
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+if os.environ.get("REPRO_NO_NUMPY"):  # force the pure-int shard fallback
+    _np = None
+
 #: Above this many letters the ``2^n``-bit big-int encoding hands over to
 #: the sharded tier (:mod:`repro.logic.shards`), and beyond that to the
-#: sparse carrier (:mod:`repro.logic.sparse`).  12 is the measured
-#: crossover: compile plus selection of all six operators is faster on
-#: sharded bitplanes from 13 letters on numpy (3.6-25x at 16-20 letters)
-#: and from 18 on pure ints (``benchmarks/bench_table_crossover.py``).
-#: Env-overridable so harnesses can force either tier onto an alphabet.
-_TABLE_MAX_LETTERS = int(os.environ.get("REPRO_TABLE_MAX_LETTERS", "12"))
+#: sparse carrier (:mod:`repro.logic.sparse`).  The default is the
+#: measured crossover of the shard backend this process runs: compile
+#: plus selection of all six operators is faster on numpy bitplanes from
+#: 13 letters (3.6-25x at 16-20 letters) and on pure-int shards from 18
+#: (``benchmarks/bench_table_crossover.py``), hence 12 with numpy and 17
+#: without.  Env-overridable so harnesses can force either tier onto an
+#: alphabet.
+_TABLE_MAX_LETTERS = int(os.environ.get(
+    "REPRO_TABLE_MAX_LETTERS", "12" if _np is not None else "17"))
+
+#: Work bound (table bits times formula node count) under which building
+#: a big-int truth table is cheap, whichever tier holds compiled model
+#: sets.  Readers that want a table for its own sake — consistency
+#: probes, projections, minimal elements, Hamming distances — ask
+#: :func:`table_affordable`, not the tier cutoff above.
+_TABLE_WORK_BUDGET = 1 << 28
 
 #: For each byte value, the positions of its set bits — used to stream the
 #: set bits of a big-int without quadratic shifting.
@@ -311,6 +331,17 @@ class BitAlphabet:
                 layers = grown
             self._layers = layers
         return self._layers
+
+
+def table_affordable(letter_count: int, node_count: int) -> bool:
+    """Whether a big-int truth table over ``letter_count`` letters is cheap.
+
+    A table sweep costs its width times the formula's node count
+    (:data:`_TABLE_WORK_BUDGET`).  A formula over ``n`` letters has at
+    least ``n`` nodes, so ``table_affordable(n, n)`` is the bound for a
+    table over an alphabet alone.
+    """
+    return (1 << letter_count) * max(node_count, 1) <= _TABLE_WORK_BUDGET
 
 
 def truth_table(formula: Formula, alphabet: "BitAlphabet | Iterable[str]") -> int:
@@ -842,18 +873,19 @@ class BitModelSet:
     ) -> "BitModelSet":
         """The model set of ``formula`` by bit-parallel truth-table sweep.
 
-        Requires the formula's letters to lie inside the alphabet and the
-        alphabet to be small enough for the table encoding; callers wanting
-        the sharded tier or the SAT fallback should use
+        Requires the formula's letters to lie inside the alphabet and a
+        table over the alphabet to be affordable (:func:`table_affordable`);
+        callers wanting the tier dispatch should use
         :func:`repro.sat.bit_models` instead.
         """
         bit_alphabet = BitAlphabet.coerce(alphabet)
-        if len(bit_alphabet) > _TABLE_MAX_LETTERS:
+        size = len(bit_alphabet)
+        if not table_affordable(size, size):
             raise ValueError(
-                f"{len(bit_alphabet)} letters exceed the big-int table "
-                f"cutoff ({_TABLE_MAX_LETTERS}); use repro.sat.bit_models, "
-                f"which dispatches over the sharded bitplanes and SAT "
-                f"enumeration onto sparse model sets"
+                f"{size} letters are too many for a big-int truth table; "
+                f"use repro.sat.bit_models, which dispatches over the "
+                f"sharded bitplanes and SAT enumeration onto sparse model "
+                f"sets"
             )
         return cls.from_table(bit_alphabet, truth_table(formula, bit_alphabet))
 
@@ -1022,8 +1054,9 @@ class BitModelSet:
         return BitModelSet(self.alphabet, self.masks | other.masks)
 
     def min_subset(self) -> List[int]:
-        """Inclusion-minimal masks (table path under the cutoff)."""
-        if len(self.alphabet) <= _TABLE_MAX_LETTERS:
+        """Inclusion-minimal masks (table path while a table is affordable)."""
+        size = len(self.alphabet)
+        if table_affordable(size, size):
             minimal = minimal_elements_table(self.table(), self.alphabet)
             return list(iter_set_bits(minimal))
         return min_subset_masks(self.masks)

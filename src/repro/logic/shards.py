@@ -64,8 +64,8 @@ Satoh's reachable set.
 layers share.  It picks one of three tiers by letter count alone:
 
 * ``"table"`` — big-int truth tables, up to
-  ``bitmodels._TABLE_MAX_LETTERS`` letters (12 unless
-  ``REPRO_TABLE_MAX_LETTERS`` says otherwise);
+  ``bitmodels._TABLE_MAX_LETTERS`` letters (12 on numpy bitplanes, 17
+  on pure-int shards, unless ``REPRO_TABLE_MAX_LETTERS`` says otherwise);
 * ``"sharded"`` — this module, up to :data:`SHARD_MAX_LETTERS` (26 unless
   ``REPRO_SHARD_MAX_LETTERS`` says otherwise);
 * ``"sparse"`` — the density-proportional model-mask carrier of
@@ -89,13 +89,10 @@ from . import bitmodels as _bitmodels
 from .bitmodels import BitAlphabet, iter_set_bits
 from .formula import And, Formula, Iff, Implies, Not, Or, Var, Xor, _Constant
 
-try:  # pragma: no cover - exercised via the CI matrix leg without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-if os.environ.get("REPRO_NO_NUMPY"):  # force the pure-int shard fallback
-    _np = None
+#: numpy, or ``None`` for the pure-int shards (numpy missing or
+#: ``REPRO_NO_NUMPY`` set); decided once in :mod:`repro.logic.bitmodels`,
+#: whose table cutoff default follows the same backend.
+_np = _bitmodels._np
 
 #: Width of one machine word in the numpy bitplane.
 WORD_BITS = 64
@@ -157,8 +154,9 @@ _WORD_FULL = (1 << WORD_BITS) - 1
 def tier(letter_count: int) -> str:
     """Which engine tier handles ``letter_count`` letters.
 
-    ``"table"`` up to ``bitmodels._TABLE_MAX_LETTERS`` (default 12, the
-    measured table/sharded crossover), ``"sharded"`` up to
+    ``"table"`` up to ``bitmodels._TABLE_MAX_LETTERS`` (default 12 on
+    numpy, 17 on pure ints: the measured table/sharded crossover of each
+    backend), ``"sharded"`` up to
     :data:`SHARD_MAX_LETTERS` (default 26), ``"sparse"`` beyond.  Both
     cutoffs are read at call time, so env overrides
     (``REPRO_TABLE_MAX_LETTERS``, ``REPRO_SHARD_MAX_LETTERS``) and runtime

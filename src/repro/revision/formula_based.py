@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..logic.bitmodels import _TABLE_MAX_LETTERS, BitAlphabet, truth_table
+from ..logic.bitmodels import BitAlphabet, table_affordable, truth_table
 from ..logic.formula import Formula, FormulaLike, as_formula, big_or, land
 from ..logic.theory import Theory, TheoryLike
 from ..sat import is_satisfiable
@@ -38,17 +38,21 @@ def possible_worlds(theory: TheoryLike, new_formula: FormulaLike) -> List[Theory
     Winslett's observation about this semantics, and the benchmarks measure
     exactly this count.
 
-    Below the truth-table cutoff each member formula compiles once to its
-    big-int truth table and every consistency probe is an AND of tables
-    (non-zero iff satisfiable) instead of a Tseitin translation plus a DPLL
-    call per sub-theory.
+    While truth tables over the letters are affordable
+    (:func:`repro.logic.bitmodels.table_affordable`) each member formula
+    compiles once to its big-int truth table and every consistency probe
+    is an AND of tables (non-zero iff satisfiable) instead of a SAT call
+    per sub-theory.
     """
     theory = Theory.coerce(theory)
     formula = as_formula(new_formula)
     letters = theory.variables() | formula.variables()
     tables: Optional[dict] = None
     p_table = 0
-    if len(letters) <= _TABLE_MAX_LETTERS:
+    nodes = formula.node_count() + sum(
+        member.node_count() for member in theory.formulas()
+    )
+    if table_affordable(len(letters), nodes):
         alphabet = BitAlphabet(letters)
         p_table = truth_table(formula, alphabet)
         if not p_table:

@@ -46,9 +46,9 @@ numpy, processes on pure-int).
 
 The tier is picked per call by :func:`repro.logic.shards.tier` from the
 letter count alone — a ladder of three tiers: big-int tables up to
-``_TABLE_MAX_LETTERS`` letters (default 12), sharded tables up to
-``shards.SHARD_MAX_LETTERS`` (default 26; both read live), sparse
-carriers beyond.
+``_TABLE_MAX_LETTERS`` letters (default 12 with numpy, 17 without),
+sharded tables up to ``shards.SHARD_MAX_LETTERS`` (default 26; both read
+live), sparse carriers beyond.
 The pick is a preference, not a commitment: when a bitplane tier's
 allocation fails mid-rule (``MemoryError``, including
 :class:`repro.runtime.MemoryBudgetExceeded` from an active budget), the

@@ -279,13 +279,6 @@ def query_equivalent(
     return left_models == right_models
 
 
-#: Work bound for the bit-parallel truth-table fast path (table width times
-#: formula node count); above it, incremental SAT enumeration wins.
-#: The bit-parallel sweep processes a machine word of interpretations per
-#: big-int word operation, so the budget is far above the old per-model
-#: evaluation bound.
-_BRUTE_FORCE_BUDGET = 1 << 28
-
 #: Work bound for the sharded tier, measured in 64-bit words times formula
 #: node count (the sharded sweep touches one word per vectorised step).
 #: Sized so the clause counts the perf workloads carry at the 26-letter
@@ -295,11 +288,14 @@ _SHARDED_WORD_BUDGET = 1 << 30
 
 
 def _wants_bit_parallel(formula: Formula, names: Sequence[str]) -> bool:
-    """Big-int tier: alphabet under the (live) table cutoff and affordable."""
+    """Big-int tier: alphabet under the (live) table cutoff and affordable.
+
+    Past the work bound (table width times node count) incremental SAT
+    enumeration wins.
+    """
     if len(names) > _bitmodels._TABLE_MAX_LETTERS:
         return False
-    work = (1 << len(names)) * max(formula.node_count(), 1)
-    return work <= _BRUTE_FORCE_BUDGET
+    return _bitmodels.table_affordable(len(names), formula.node_count())
 
 
 def _wants_sharded(formula: Formula, names: Sequence[str]) -> bool:

@@ -5,8 +5,9 @@ Each worker owns a private :class:`repro.revision.batch.BatchCache`
 store (``REPRO_STORE``) on compile misses — the PR 8 contract that
 makes the front-end's crash retries safe: any worker recomputes any
 request to bit-identical masks, and the hot compiles come off disk
-instead of SAT.  Next to it sits a bounded :class:`ParseMemo`, so a KB
-or update text the worker has seen is not parsed again.
+instead of SAT.  Next to it sit two bounded parse memos
+(:func:`parse_theory`, :func:`parse_formula`), so a KB or update text
+the worker has seen is not parsed again.
 
 Protocol (parent → worker over a duplex Pipe)::
 
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
-from typing import Any, Dict, Hashable, Sequence, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Tuple
 
 from repro import obs as _obs
 from repro import runtime as _runtime
@@ -50,52 +51,32 @@ from repro.revision.batch import BatchCache
 #: Default hang-fault sleep: far past any realistic hang deadline.
 HANG_DEFAULT_S = 3600.0
 
-#: Parsed KB and update texts one worker keeps (least recently used goes
-#: first).  A request stream revisits a few KBs and their updates; each
-#: entry holds one parsed theory or formula, so the bound caps the
-#: memo's memory at that many parse trees.
+#: Parsed KB texts, and separately parsed update texts, one worker keeps
+#: (least recently used goes first).  A request stream revisits a few KBs
+#: and their updates; each entry holds one parsed theory or formula, so
+#: the bound caps each memo's memory at that many parse trees.
 PARSE_MEMO_ENTRIES = 64
 
 
-class ParseMemo:
-    """Request text → parsed :class:`Theory` / :class:`Formula`, bounded.
+@lru_cache(maxsize=PARSE_MEMO_ENTRIES)
+def parse_theory(texts: Tuple[Any, ...]) -> Theory:
+    """The theory of a request's KB texts, memoised per worker process.
 
-    A repeated KB or update text maps to the *same* object, whose hash,
+    A repeated KB text maps to the *same* :class:`Theory`, whose hash,
     ``variables()`` and conjunction are already cached, so the worker's
-    :class:`BatchCache` keys resolve without re-walking the KB.  Only
-    successful parses are stored: a malformed text raises on every
-    request that carries it.
+    :class:`BatchCache` keys resolve without re-walking the KB.  A text
+    that fails to parse raises on every request that carries it.
     """
-
-    def __init__(self) -> None:
-        self._parsed: "OrderedDict[Hashable, Any]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._parsed)
-
-    def _get(self, key: Hashable, parse) -> Tuple[Any, bool]:
-        value = self._parsed.get(key)
-        if value is not None:
-            self._parsed.move_to_end(key)
-            return value, True
-        value = parse()
-        self._parsed[key] = value
-        if len(self._parsed) > PARSE_MEMO_ENTRIES:
-            self._parsed.popitem(last=False)
-        return value, False
-
-    def theory(self, texts: Sequence[Any]) -> Tuple[Theory, bool]:
-        """The theory of ``texts`` and whether it came from the memo."""
-        key = ("theory", tuple(texts))
-        return self._get(key, lambda: Theory.coerce(key[1]))
-
-    def formula(self, text: Any) -> Tuple[Formula, bool]:
-        """The formula of ``text`` and whether it came from the memo."""
-        return self._get(("formula", text), lambda: as_formula(text))
+    return Theory.coerce(texts)
 
 
-def _execute(cache: BatchCache, memo: ParseMemo,
-             frame: Dict[str, Any]) -> Dict[str, Any]:
+@lru_cache(maxsize=PARSE_MEMO_ENTRIES)
+def parse_formula(text: Any) -> Formula:
+    """The formula of one update text, memoised like :func:`parse_theory`."""
+    return as_formula(text)
+
+
+def _execute(cache: BatchCache, frame: Dict[str, Any]) -> Dict[str, Any]:
     """Run one request frame against the worker's cache.
 
     Returns a :class:`repro.service.protocol.Response`-shaped dict; the
@@ -124,13 +105,14 @@ def _execute(cache: BatchCache, memo: ParseMemo,
     operator = frame.get("operator") or "dalal"
     try:
         with _obs.span("service.parse", kb=base["kb"]) as parse_span:
-            theory, cached = memo.theory(frame.get("theory") or ())
-            updates = []
-            for text in frame.get("updates") or ():
-                update, hit = memo.formula(text)
-                updates.append(update)
-                cached = cached and hit
-            parse_span.set("cached", cached)
+            hits = (parse_theory.cache_info().hits
+                    + parse_formula.cache_info().hits)
+            theory = parse_theory(tuple(frame.get("theory") or ()))
+            updates = [parse_formula(text)
+                       for text in frame.get("updates") or ()]
+            hits = (parse_theory.cache_info().hits
+                    + parse_formula.cache_info().hits - hits)
+            parse_span.set("cached", hits == 1 + len(updates))
             query = frame.get("query")
             if query is not None:
                 query = as_formula(query)
@@ -167,7 +149,6 @@ def worker_main(conn, config: Dict[str, Any]) -> None:
     """Entry point of a worker process (top-level so it spawns too)."""
     heartbeat_s = float(config.get("heartbeat_s", 0.25))
     cache = BatchCache()
-    memo = ParseMemo()
     try:
         conn.send(("hb", os.getpid()))
         while True:
@@ -187,7 +168,7 @@ def worker_main(conn, config: Dict[str, Any]) -> None:
                     time.sleep(float(param) if param else HANG_DEFAULT_S)
             token = _obs.worker_capture_begin()
             try:
-                response = _execute(cache, memo, frame)
+                response = _execute(cache, frame)
             finally:
                 envelope = _obs.worker_capture_end(token)
             conn.send(("res", seq, response, envelope))

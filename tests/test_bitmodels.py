@@ -304,6 +304,48 @@ class TestBitModelSet:
         assert projected.to_frozensets() == {frozenset("a"), frozenset("c")}
 
 
+class TestTableReaders:
+    """Paths that build a truth table for its own sake gate on the work
+    bound (:func:`bitmodels.table_affordable`), not on the tier cutoff."""
+
+    def test_work_bound(self):
+        assert bitmodels.table_affordable(20, 256)
+        assert not bitmodels.table_affordable(20, 257)
+        assert bitmodels.table_affordable(23, 23)
+        assert not bitmodels.table_affordable(24, 24)
+
+    def test_readers_keep_tables_past_the_tier_cutoff(self, monkeypatch):
+        # With the cutoff forced to 12, 16 letters select on sharded
+        # bitplanes; the readers must still answer from tables, with no
+        # per-subset or per-assignment SAT probe.
+        from repro.compact import iterated, qbf
+        from repro.revision import formula_based, possible_worlds
+
+        def no_sat(*args, **kwargs):
+            raise AssertionError("SAT probe where a table is affordable")
+
+        for module in (formula_based, iterated, qbf):
+            monkeypatch.setattr(module, "is_satisfiable", no_sat)
+        names = [f"x{i:02d}" for i in range(16)]
+        atoms = [var(name) for name in names[:4]]
+        members = atoms + [lor(lnot(var(a)), var(b))
+                           for a, b in zip(names[4:], names[5:])]
+        theory = Theory(members)
+        update = land(lnot(var(names[0])), lor(lnot(var(names[1])),
+                                                var(names[15])))
+        with forced_tiers(table_max=12):
+            worlds = possible_worlds(theory, update)
+            assert worlds and all(atoms[0] not in w.formulas() for w in worlds)
+            rep = iterated.dalal_iterated(theory, [update, var(names[0])])
+            assert rep.metadata["ks"] == (1, 1)
+            qbf.bounded_iterated("satoh", theory, [update])
+            alphabet = BitAlphabet(names)
+            bits = BitModelSet.from_formula(theory.conjunction(), alphabet)
+            assert bits.count() == bit_models(
+                theory.conjunction(), alphabet).count()
+            assert sorted(bits.min_subset()) == sorted(min_subset_masks(bits.masks))
+
+
 # ---------------------------------------------------------------------------
 # Engine equivalence: bitmask operators vs frozenset reference
 # ---------------------------------------------------------------------------

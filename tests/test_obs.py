@@ -368,16 +368,20 @@ class TestWorkerTelemetry:
         # request's parse and work spans land under the request span, and
         # the parse span says whether the worker's memo served the texts.
         from repro.revision.batch import BatchCache
-        from repro.service.worker import ParseMemo, _execute
+        from repro.service.worker import (
+            _execute, parse_formula, parse_theory,
+        )
 
         path = str(tmp_path / "trace.jsonl")
-        cache, memo = BatchCache(), ParseMemo()
+        parse_theory.cache_clear()
+        parse_formula.cache_clear()
+        cache = BatchCache()
         frame = {"kind": "revise", "theory": ["a & b"], "updates": ["~a"]}
         obs.configure(path)
         try:
             for _ in range(2):
                 token = obs.worker_capture_begin()
-                response = _execute(cache, memo, dict(frame))
+                response = _execute(cache, dict(frame))
                 envelope = obs.worker_capture_end(token)
                 assert response["status"] == "ok"
                 with obs.span("service.request"):

@@ -47,7 +47,9 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.frontend import STATS
-from repro.service.worker import PARSE_MEMO_ENTRIES, ParseMemo
+from repro.service.worker import (
+    PARSE_MEMO_ENTRIES, parse_formula, parse_theory,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -208,30 +210,40 @@ class TestFaultFreeServing:
 
 
 class TestParseMemo:
+    @pytest.fixture(autouse=True)
+    def _empty_memos(self):
+        parse_theory.cache_clear()
+        parse_formula.cache_clear()
+        yield
+        parse_theory.cache_clear()
+        parse_formula.cache_clear()
+
     def test_repeated_text_maps_to_the_same_objects(self):
-        memo = ParseMemo()
-        theory, first_hit = memo.theory(("a & b", "c"))
-        again, second_hit = memo.theory(("a & b", "c"))
-        assert again is theory and (first_hit, second_hit) == (False, True)
-        update, _ = memo.formula("~a")
-        assert memo.formula("~a") == (update, True)
+        theory = parse_theory(("a & b", "c"))
+        assert parse_theory(("a & b", "c")) is theory
+        assert parse_theory.cache_info().hits == 1
+        update = parse_formula("~a")
+        assert parse_formula("~a") is update
+        assert parse_formula.cache_info().hits == 1
 
     def test_parse_failures_are_not_memoised(self):
-        memo = ParseMemo()
         for _ in range(2):
             with pytest.raises(ParseError):
-                memo.theory(("a & (b",))
+                parse_theory(("a & (b",))
             with pytest.raises(ParseError):
-                memo.formula("~a &")
-        assert len(memo) == 0
+                parse_formula("~a &")
+        assert parse_theory.cache_info().currsize == 0
+        assert parse_formula.cache_info().currsize == 0
 
     def test_memo_is_bounded_and_evicts_the_oldest(self):
-        memo = ParseMemo()
         for index in range(PARSE_MEMO_ENTRIES + 3):
-            memo.formula(f"x{index}")
-        assert len(memo) == PARSE_MEMO_ENTRIES
-        assert memo.formula(f"x{PARSE_MEMO_ENTRIES + 2}")[1] is True
-        assert memo.formula("x0")[1] is False
+            parse_formula(f"x{index}")
+        assert parse_formula.cache_info().currsize == PARSE_MEMO_ENTRIES
+        hits = parse_formula.cache_info().hits
+        parse_formula(f"x{PARSE_MEMO_ENTRIES + 2}")
+        assert parse_formula.cache_info().hits == hits + 1
+        parse_formula("x0")
+        assert parse_formula.cache_info().hits == hits + 1
 
 
 class TestCrashAndHangRecovery:

@@ -15,6 +15,9 @@ Four layers of assurance:
   answer count/membership/emptiness without materialising masks.
 """
 
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,14 +351,44 @@ def _service_shaped_pair(letter_count, seed):
     return Theory([kb.t_formula] + free), update.p_formula
 
 
+#: The table cutoff's default per shard backend: the measured crossover.
+DEFAULT_TABLE_MAX = {"numpy": 12, "int": 17}
+
+
 class TestTableShardedParity:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("letter_count", [13, 16, 20])
-    def test_default_sharded_tier_matches_table_tier(
+    def test_default_cutoff_follows_the_backend(self, backend):
+        # A fresh process picks the backend and the cutoff together; the
+        # letter count past the cutoff selects on sharded bitplanes.
+        import repro
+
+        script = (
+            "from repro.logic import bitmodels, shards\n"
+            "cut = bitmodels._TABLE_MAX_LETTERS\n"
+            "print(cut, shards._np is None, shards.tier(cut),"
+            " shards.tier(cut + 1))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("REPRO_TABLE_MAX_LETTERS", None)
+        env.pop("REPRO_NO_NUMPY", None)
+        if backend == "int":
+            env["REPRO_NO_NUMPY"] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert out == [str(DEFAULT_TABLE_MAX[backend]), str(backend == "int"),
+                       "table", "sharded"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("letter_count", [13, 16, 17, 18, 20])
+    def test_sharded_tier_matches_table_tier(
         self, letter_count, backend, monkeypatch
     ):
-        # 13-20 letters select on sharded bitplanes by default; forcing
-        # the table cutoff back to 20 must not change a single mask.
+        # On either side of each backend's default cutoff (12 on numpy,
+        # 17 on pure ints), selecting on sharded bitplanes must give the
+        # masks the table tier gives with the cutoff forced back to 20.
         from repro.logic import sparse
         from repro.revision import MODEL_BASED_NAMES, revise
 
@@ -364,7 +397,8 @@ class TestTableShardedParity:
             monkeypatch.setattr(sparse, "_np", None)
         theory, update = _service_shaped_pair(letter_count, seed=letter_count)
         for name in sorted(MODEL_BASED_NAMES):
-            sharded = revise(theory, update, name)
+            with forced_tiers(table_max=letter_count - 1):
+                sharded = revise(theory, update, name)
             with forced_tiers(table_max=20):
                 table = revise(theory, update, name)
             assert (sharded.engine_tier, table.engine_tier) == (
